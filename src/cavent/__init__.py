@@ -16,7 +16,6 @@ from .entanglement import (
     entanglement_of_formation,
     eof_from_concurrence,
     spin_flipped,
-    symmetric_eigen,
 )
 from .errors import CaventError, NumericsError, ParameterError
 from .fields import (
@@ -75,7 +74,6 @@ __all__ = [
     "solve_alpha_for_mean",
     "spin_flipped",
     "squeezed_distribution",
-    "symmetric_eigen",
     "trace_out_field",
     "tripartite_state",
     "__version__",

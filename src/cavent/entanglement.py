@@ -2,12 +2,16 @@
 
 For a real symmetric density matrix rho the spin-flipped state is
 Y rho Y with Y = sigma_y x sigma_y = antidiag(-1, 1, 1, -1), i.e. a signed
-anti-transpose.  The concurrence needs the eigenvalues of the non-symmetric
-product rho * (Y rho Y); they are obtained from the similar symmetric matrix
-sqrt(rho) (Y rho Y) sqrt(rho), which is positive semidefinite, so all
-arithmetic stays real.  Eigenvalues come from a self-contained cyclic Jacobi
-solver.  Tiny negative eigenvalues (roundoff) are clamped to zero; anything
-below -1e-8 means the input was not a density matrix and is rejected.
+anti-transpose.  The concurrence needs the square roots of the eigenvalues of
+the non-symmetric product rho * (Y rho Y).  They come from the factored route
+of Wootters, PRL 80, 2245 (1998): with rho = V D V^T and W = V sqrt(D), so
+that rho = W W^T, the real symmetric matrix tau = W^T Y W has
+tau^2 = W^T (Y rho Y) W, which shares its spectrum with rho * (Y rho Y).  The
+wanted square roots are therefore the magnitudes of the eigenvalues of tau,
+and no square root of a small product eigenvalue is ever taken.  Both
+eigenproblems go to LAPACK through numpy.  Tiny negative eigenvalues of rho
+(roundoff) are clamped to zero; anything below -1e-8, or not finite, means
+the input was not a density matrix and is rejected.
 
 E_F = h((1 + sqrt(1 - C^2)) / 2) with h the binary entropy; both outputs are
 clamped to [0, 1].
@@ -24,12 +28,9 @@ from .errors import NumericsError, ParameterError
 
 _LN2 = math.log(2.0)
 _SYMMETRY_TOL = 1e-12
-_OFFDIAG_TOL = 1e-14
-_MAX_SWEEPS = 60
 
-# roundoff window for eigenvalues of nominally PSD matrices: clamp above
-# EIG_HARD_TOL, reject below it
-EIG_ZERO_TOL = 1e-10
+# eigenvalues of a nominally PSD rho between -EIG_HARD_TOL and 0 are roundoff
+# and clamped to zero; lower ones are rejected
 EIG_HARD_TOL = 1e-8
 
 _FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
@@ -46,94 +47,35 @@ def spin_flipped(rho: np.ndarray) -> np.ndarray:
     return np.outer(_FLIP_SIGNS, _FLIP_SIGNS) * rho[::-1, ::-1]
 
 
-def symmetric_eigen(m: np.ndarray):
-    """Eigen-decomposition of a small real symmetric matrix by cyclic Jacobi.
-
-    Returns (values, vectors) with eigenvalues in descending order and the
-    matching orthonormal eigenvectors as columns.  Rotations sweep until every
-    off-diagonal magnitude falls below 1e-14 times the Frobenius norm.
-    """
-    a = np.array(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ParameterError(f"expected a square matrix, got shape {a.shape}")
-    if np.max(np.abs(a - a.T)) > _SYMMETRY_TOL:
-        raise ParameterError("matrix is not symmetric within 1e-12")
-    dim = a.shape[0]
-    v = np.eye(dim)
-    norm = math.sqrt(float(np.sum(a * a)))
-    if norm == 0.0:
-        return np.zeros(dim), v
-    thresh = _OFFDIAG_TOL * norm
-
-    for _ in range(_MAX_SWEEPS):
-        off = 0.0
-        for p in range(dim - 1):
-            for q in range(p + 1, dim):
-                off = max(off, abs(a[p, q]))
-        if off < thresh:
-            break
-        for p in range(dim - 1):
-            for q in range(p + 1, dim):
-                apq = a[p, q]
-                if abs(apq) == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                tau = s / (1.0 + c)
-                a[p, p] -= t * apq
-                a[q, q] += t * apq
-                a[p, q] = a[q, p] = 0.0
-                for k in range(dim):
-                    if k == p or k == q:
-                        continue
-                    akp, akq = a[k, p], a[k, q]
-                    a[k, p] = a[p, k] = akp - s * (akq + tau * akp)
-                    a[k, q] = a[q, k] = akq + s * (akp - tau * akq)
-                for k in range(dim):
-                    vkp, vkq = v[k, p], v[k, q]
-                    v[k, p] = vkp - s * (vkq + tau * vkp)
-                    v[k, q] = vkq + s * (vkp - tau * vkq)
-    else:
-        raise NumericsError("Jacobi eigensolver failed to converge")
-
-    values = np.diag(a).copy()
-    order = np.argsort(-values, kind="stable")
-    return values[order], v[:, order]
-
-
-def _clamped_spectrum(values, context):
+def _clamped_spectrum(values):
     low = float(np.min(values))
-    if low < -EIG_HARD_TOL:
+    if not low >= -EIG_HARD_TOL:
         raise NumericsError(
-            f"{context}: eigenvalue {low} is below -{EIG_HARD_TOL}; "
+            f"eigenvalue {low} is below -{EIG_HARD_TOL} or not finite; "
             "the input was not a valid density matrix"
         )
     return np.where(values < 0.0, 0.0, values)
 
 
-def _sqrt_psd(rho):
-    values, vectors = symmetric_eigen(rho)
-    values = _clamped_spectrum(values, "matrix square root")
-    return (vectors * np.sqrt(values)) @ vectors.T
-
-
 def concurrence(rho: np.ndarray) -> float:
     """Wootters concurrence of a real symmetric two-qubit density matrix.
 
-    The eigenvalues lam_i of rho * spin_flipped(rho) are computed through the
-    symmetrized route sqrt(rho) rho~ sqrt(rho); the result is
-    max(0, sqrt(lam_1) - sqrt(lam_2) - sqrt(lam_3) - sqrt(lam_4)) with the
-    eigenvalues in descending order, clamped to [0, 1].
+    Factors rho = W W^T and takes s_1 >= ... >= s_4, the eigenvalue
+    magnitudes of W^T Y W (the square roots of the eigenvalues of
+    rho * spin_flipped(rho)); the result is s_1 - s_2 - s_3 - s_4 clamped to
+    [0, 1].  A matrix that is not 4x4, or not symmetric within 1e-12, raises
+    ParameterError.
     """
-    root = _sqrt_psd(rho)
-    product = root @ spin_flipped(rho) @ root
-    product = 0.5 * (product + product.T)  # kill roundoff asymmetry
-    lam, _ = symmetric_eigen(product)
-    lam = _clamped_spectrum(lam, "concurrence spectrum")
-    rt = np.sqrt(lam)
-    return min(1.0, max(0.0, float(rt[0] - rt[1] - rt[2] - rt[3])))
+    rho = np.asarray(rho, dtype=float)
+    if rho.shape != (4, 4):
+        raise ParameterError(f"expected a 4x4 matrix, got shape {rho.shape}")
+    if np.max(np.abs(rho - rho.T)) > _SYMMETRY_TOL:
+        raise ParameterError("matrix is not symmetric within 1e-12")
+    values, vectors = np.linalg.eigh(rho)
+    w = vectors * np.sqrt(_clamped_spectrum(values))
+    tau = w.T @ (_FLIP_SIGNS[:, None] * w[::-1])
+    s = np.sort(np.abs(np.linalg.eigvalsh(tau)))[::-1]
+    return min(1.0, max(0.0, float(s[0] - s[1] - s[2] - s[3])))
 
 
 def binary_entropy(x: float) -> float:

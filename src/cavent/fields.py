@@ -132,7 +132,8 @@ class _Truncator:
     Stops TAIL_MARGIN terms after the cumulative mass first reaches
     1 - tail_tol.  If the running sum stops changing well past the mean
     (every remaining term is below one ulp), nothing more can be gained in
-    double precision and the plateau is reported instead.
+    double precision and it stops there instead; `_checked_distribution`
+    then refuses a tolerance the plateau does not meet.
     """
 
     def __init__(self, tail_tol, mean):
@@ -142,7 +143,6 @@ class _Truncator:
         self._comp = 0.0
         self._stale = 0
         self._stop_at = None
-        self.plateaued = False
         self._n = -1
 
     def add(self, p) -> bool:
@@ -157,7 +157,6 @@ class _Truncator:
             if self.cum >= 1.0 - self.tail_tol:
                 self._stop_at = self._n + TAIL_MARGIN
             elif self._stale >= 5 and self._n > self.mean + 10:
-                self.plateaued = True
                 self._stop_at = self._n + TAIL_MARGIN
         if self._n >= _MAX_TERMS:
             raise NumericsError(
@@ -173,15 +172,25 @@ def _trim_trailing_zeros(probs):
     return probs
 
 
-def _cap_at_unity(arr):
-    """Rescale (at most a few ulp) so the exactly-rounded sum never exceeds 1."""
+def _checked_distribution(arr, tail_tol):
+    """Distribution from truncated probabilities, holding tail_mass <= tail_tol.
+
+    Rescales (at most a few ulp) so the exactly-rounded sum never exceeds 1,
+    then refuses a tolerance that double precision did not reach.
+    """
     total = math.fsum(arr)
     guard = 0
     while total > 1.0 and guard < 8:
         arr = arr / total
         total = math.fsum(arr)
         guard += 1
-    return arr, total
+    tail_mass = max(0.0, 1.0 - total)
+    if tail_mass > tail_tol:
+        raise NumericsError(
+            f"tail tolerance {tail_tol} is unattainable in double precision: "
+            f"the truncated distribution leaves tail mass {tail_mass!r}"
+        )
+    return PhotonDistribution(arr, tail_mass)
 
 
 def coherent_distribution(params: CoherentParams, tail_tol: float = 1e-12) -> PhotonDistribution:
@@ -204,14 +213,7 @@ def coherent_distribution(params: CoherentParams, tail_tol: float = 1e-12) -> Ph
         probs.append(p)
         more = acc.add(p)
         n += 1
-    if acc.plateaued and acc.cum < 1.0 - tail_tol:
-        raise NumericsError(
-            f"tail tolerance {tail_tol} is unattainable in double precision "
-            f"for <n> = {mean} (cumulative mass saturated at {acc.cum!r})"
-        )
-    arr = np.array(_trim_trailing_zeros(probs))
-    arr, total = _cap_at_unity(arr)
-    return PhotonDistribution(arr, max(0.0, 1.0 - total))
+    return _checked_distribution(np.array(_trim_trailing_zeros(probs)), tail_tol)
 
 
 def squeezed_distribution(params: SqueezedParams, tail_tol: float = 1e-12) -> PhotonDistribution:
@@ -246,8 +248,7 @@ def squeezed_distribution(params: SqueezedParams, tail_tol: float = 1e-12) -> Ph
             f"squeezed amplitude recurrence lost normalization: sum(P_n) = {total!r} "
             f"for alpha={params.alpha}, r={params.r}"
         )
-    arr, total = _cap_at_unity(arr / total)
-    return PhotonDistribution(arr, max(0.0, 1.0 - total))
+    return _checked_distribution(arr / total, tail_tol)
 
 
 def mean_photon(dist: PhotonDistribution) -> float:

@@ -17,7 +17,7 @@ end to end.
 A second, independent eigenvalue oracle is included: the characteristic
 quartic of a 4x4 matrix, expanded by Faddeev-LeVerrier and solved by a
 Durand-Kerner iteration in extended precision with multiplicity-aware
-polishing.  It cross-checks the Jacobi route used by `entanglement`.
+polishing.  It cross-checks the LAPACK route used by `entanglement`.
 """
 
 from __future__ import annotations
@@ -212,9 +212,9 @@ def quartic_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a 4x4 real matrix with a real spectrum, descending.
 
     Expands det(x I - m) explicitly and solves the quartic numerically; no
-    similarity transforms, so the route shares nothing with the Jacobi
-    solver it cross-checks.  A residual imaginary part above 1e-8 means the
-    spectrum was not real and raises NumericsError.
+    similarity transforms, so the route shares nothing with the LAPACK
+    eigensolver it cross-checks.  A residual imaginary part above 1e-8 means
+    the spectrum was not real and raises NumericsError.
     """
     coeffs = _characteristic_coefficients(m)
     roots = _collapse_clusters(coeffs, _durand_kerner(coeffs))

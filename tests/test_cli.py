@@ -271,6 +271,16 @@ class TestMain:
         assert code == 2
         assert "numerical error" in capsys.readouterr().err
 
+    def test_unattainable_tail_tolerance_exits_2_without_csv(self, capsys):
+        code = main(
+            ["sweep", "--field", "squeezed", "--alpha", "0.5", "--tail-tol", "1e-17",
+             "--steps", "3"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "tail tolerance" in captured.err
+
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

@@ -16,7 +16,6 @@ from cavent import (
     gamma_coefficients,
     quartic_eigenvalues,
     spin_flipped,
-    symmetric_eigen,
 )
 
 # -x log2 x - (1-x) log2 (1-x) at x = 0.9, frozen from a direct evaluation
@@ -48,40 +47,6 @@ class TestSpinFlipped:
     def test_involution(self, make_random_density):
         rho = make_random_density(np.random.default_rng(7))
         assert np.array_equal(spin_flipped(spin_flipped(rho)), rho)
-
-
-class TestSymmetricEigen:
-    def test_identity(self):
-        values, vectors = symmetric_eigen(np.eye(4))
-        assert np.array_equal(values, np.ones(4))
-        assert np.allclose(vectors @ vectors.T, np.eye(4), atol=1e-14)
-
-    def test_diagonal(self):
-        values, _ = symmetric_eigen(np.diag([4.0, 3.0, 2.0, 1.0]))
-        assert np.array_equal(values, [4.0, 3.0, 2.0, 1.0])
-
-    def test_random_matrix_against_quartic_oracle(self):
-        rng = np.random.default_rng(42)
-        g = rng.standard_normal((4, 4))
-        sym = 0.5 * (g + g.T)
-        values, vectors = symmetric_eigen(sym)
-        assert np.all(np.diff(values) <= 0.0)
-        roots = quartic_eigenvalues(sym)
-        assert np.max(np.abs(values - roots)) < 1e-12
-        # reconstruction and orthonormality
-        rebuilt = (vectors * values) @ vectors.T
-        assert np.max(np.abs(rebuilt - sym)) < 1e-12
-        assert np.max(np.abs(vectors.T @ vectors - np.eye(4))) < 1e-13
-
-    def test_rejects_asymmetric_input(self):
-        m = np.eye(4)
-        m[0, 1] = 1e-6
-        with pytest.raises(ParameterError):
-            symmetric_eigen(m)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ParameterError):
-            symmetric_eigen(np.zeros((3, 4)))
 
 
 class TestConcurrence:
@@ -128,6 +93,22 @@ class TestConcurrence:
 
     def test_genuinely_negative_eigenvalue_raises(self):
         rho = rotated(np.diag([0.7, 0.4, 0.0, -0.1]), 0.3, 0.8)
+        with pytest.raises(NumericsError):
+            concurrence(rho)
+
+    def test_rejects_asymmetric_input(self):
+        m = np.eye(4)
+        m[0, 1] = 1e-6
+        with pytest.raises(ParameterError):
+            concurrence(m)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ParameterError):
+            concurrence(np.zeros((3, 4)))
+
+    def test_rejects_non_finite_input(self):
+        rho = np.eye(4) / 4.0
+        rho[0, 0] = float("nan")
         with pytest.raises(NumericsError):
             concurrence(rho)
 

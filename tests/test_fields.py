@@ -195,6 +195,28 @@ class TestSqueezedDistribution:
         assert mean_photon(dist) == pytest.approx(50.0, abs=1e-6)
 
 
+class TestTailContract:
+    def test_squeezed_below_double_precision_raises(self):
+        # renormalizing leaves the sum one ulp below 1: tail_mass 1.1e-16
+        with pytest.raises(NumericsError):
+            squeezed_distribution(SqueezedParams(0.5, 0.0), 1e-17)
+
+    @pytest.mark.parametrize("tail_tol", [1e-12, 1e-15, 1e-16, 1e-17])
+    @pytest.mark.parametrize("alpha,r", [(0.0, 0.0), (0.5, 0.0), (0.5, 0.5), (3.0, 1.0), (7.0, 2.0)])
+    def test_tail_mass_within_tolerance_or_refused(self, alpha, r, tail_tol):
+        builders = [lambda: squeezed_distribution(SqueezedParams(alpha, r), tail_tol)]
+        if r == 0.0:
+            builders.append(lambda: coherent_distribution(CoherentParams(alpha), tail_tol))
+        for build in builders:
+            try:
+                dist = build()
+            except NumericsError:
+                assert tail_tol < 1e-12
+                continue
+            assert dist.tail_mass <= tail_tol
+            assert 1.0 - tail_tol <= math.fsum(dist.probs) <= 1.0
+
+
 class TestQuadratureVariances:
     def test_coherent_limit(self):
         da1, da2 = quadrature_variances(SqueezedParams(1.0, 0.0))

@@ -15,10 +15,22 @@ from cavent import (
     quartic_eigenvalues,
     spin_flipped,
     squeezed_distribution,
-    symmetric_eigen,
     trace_out_field,
     tripartite_state,
 )
+
+
+# sigma_y x sigma_y, written out rather than taken from the production code
+SPIN_FLIP = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))
+
+
+def tau_route_squares(rho):
+    """Squared eigenvalue magnitudes of W^T Y W with rho = W W^T, descending:
+    the spectrum of rho * spin_flipped(rho) as `concurrence` obtains it."""
+    values, vectors = np.linalg.eigh(rho)
+    w = vectors * np.sqrt(np.clip(values, 0.0, None))
+    s = np.sort(np.abs(np.linalg.eigvalsh(w.T @ SPIN_FLIP @ w)))[::-1]
+    return s * s
 
 
 @pytest.fixture
@@ -131,11 +143,7 @@ class TestQuarticEigenvalues:
         worst = 0.0
         for _ in range(50):
             rho = make_random_density(rng)
-            values, vectors = symmetric_eigen(rho)
-            root = (vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.T
-            product = root @ spin_flipped(rho) @ root
-            lam, _ = symmetric_eigen(0.5 * (product + product.T))
-            lam = np.clip(lam, 0.0, None)
+            lam = tau_route_squares(rho)
             quartic = quartic_eigenvalues(rho @ spin_flipped(rho))
             worst = max(worst, float(np.max(np.abs(quartic - lam))))
         assert worst < 1e-8
@@ -158,14 +166,10 @@ class TestFullPipelineEquivalence:
     )
     def test_eigen_oracle_agreement_and_spectrum_reality(self, alpha, r):
         # both eigenvalue routes applied to rho * rho~ across the sweep grid,
-        # and the symmetrized-product spectrum stays nonnegative up to roundoff
+        # and the spectrum of rho itself stays nonnegative up to roundoff
         dist = squeezed_distribution(SqueezedParams(alpha, r), 1e-14)
         for gt in np.linspace(0.0, 10.0, 17):
             rho = assemble_rho(gamma_coefficients(dist, float(gt)))
-            values, vectors = symmetric_eigen(rho)
-            root = (vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.T
-            product = root @ spin_flipped(rho) @ root
-            lam, _ = symmetric_eigen(0.5 * (product + product.T))
-            assert lam.min() >= -1e-10
+            assert np.linalg.eigvalsh(rho).min() >= -1e-10
             quartic = quartic_eigenvalues(rho @ spin_flipped(rho))
-            assert np.max(np.abs(quartic - np.clip(lam, 0.0, None))) < 1e-8
+            assert np.max(np.abs(quartic - tau_route_squares(rho))) < 1e-8
