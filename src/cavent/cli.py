@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import assemble_rho, gamma_coefficients
-from .entanglement import concurrence, entanglement_of_formation
+from .entanglement import concurrence, eof_from_concurrence
 from .errors import NumericsError, ParameterError
 from .fields import (
     CoherentParams,
@@ -145,12 +145,12 @@ class OracleReport:
 def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     """Entanglement of the emerging atom pair at every grid angle, ascending in gt."""
     dist = cfg.distribution()
-    rows = []
-    for gt in cfg.gt_grid():
-        rho = assemble_rho(gamma_coefficients(dist, float(gt)))
-        result = entanglement_of_formation(rho)
-        rows.append(SweepRow(float(gt), result.concurrence, result.eof))
-    return rows
+    grid = cfg.gt_grid()
+    values = concurrence(assemble_rho(gamma_coefficients(dist, grid)))
+    return [
+        SweepRow(gt, c, eof_from_concurrence(c))
+        for gt, c in zip(grid.tolist(), values.tolist())
+    ]
 
 
 def _peak(rows):
@@ -186,15 +186,13 @@ def run_oracle_check(cfg: SweepConfig) -> OracleReport:
     Failures are reported in the returned record, never raised.
     """
     dist = cfg.distribution()
-    max_rho = 0.0
-    max_conc = 0.0
     grid = cfg.gt_grid()
-    for gt in grid:
-        gt = float(gt)
-        rho_sum = assemble_rho(gamma_coefficients(dist, gt))
-        rho_oracle = trace_out_field(tripartite_state(dist, gt))
-        max_rho = max(max_rho, float(np.max(np.abs(rho_sum - rho_oracle))))
-        max_conc = max(max_conc, abs(concurrence(rho_sum) - concurrence(rho_oracle)))
+    rho_sum = assemble_rho(gamma_coefficients(dist, grid))
+    rho_oracle = np.array(
+        [trace_out_field(tripartite_state(dist, gt)) for gt in grid.tolist()]
+    )
+    max_rho = float(np.max(np.abs(rho_sum - rho_oracle)))
+    max_conc = float(np.max(np.abs(concurrence(rho_sum) - concurrence(rho_oracle))))
     return OracleReport(len(grid), max_rho, max_conc)
 
 

@@ -9,7 +9,8 @@ that rho = W W^T, the real symmetric matrix tau = W^T Y W has
 tau^2 = W^T (Y rho Y) W, which shares its spectrum with rho * (Y rho Y).  The
 wanted square roots are therefore the magnitudes of the eigenvalues of tau,
 and no square root of a small product eigenvalue is ever taken.  Both
-eigenproblems go to LAPACK through numpy.  Tiny negative eigenvalues of rho
+eigenproblems go to LAPACK through numpy, one stacked call each for a whole
+(..., 4, 4) stack of matrices.  Tiny negative eigenvalues of rho
 (roundoff) are clamped to zero; anything below -1e-8, or not finite, means
 the input was not a density matrix and is rejected.
 
@@ -48,34 +49,41 @@ def spin_flipped(rho: np.ndarray) -> np.ndarray:
 
 
 def _clamped_spectrum(values):
-    low = float(np.min(values))
-    if not low >= -EIG_HARD_TOL:
+    bad = ~(values >= -EIG_HARD_TOL)
+    if np.any(bad):
         raise NumericsError(
-            f"eigenvalue {low} is below -{EIG_HARD_TOL} or not finite; "
+            f"eigenvalue {float(values[bad][0])} is below -{EIG_HARD_TOL} or not finite; "
             "the input was not a valid density matrix"
         )
     return np.where(values < 0.0, 0.0, values)
 
 
-def concurrence(rho: np.ndarray) -> float:
+def concurrence(rho: np.ndarray) -> float | np.ndarray:
     """Wootters concurrence of a real symmetric two-qubit density matrix.
 
     Factors rho = W W^T and takes s_1 >= ... >= s_4, the eigenvalue
     magnitudes of W^T Y W (the square roots of the eigenvalues of
     rho * spin_flipped(rho)); the result is s_1 - s_2 - s_3 - s_4 clamped to
-    [0, 1].  A matrix that is not 4x4, or not symmetric within 1e-12, raises
-    ParameterError.
+    [0, 1].  rho is one 4x4 matrix, giving a float, or a (..., 4, 4) stack,
+    giving an array of the leading shape; a matrix is computed the same way
+    alone or in a stack.  An input whose last two axes are not 4x4, or with
+    a matrix not symmetric within 1e-12, raises ParameterError; a non-finite
+    entry or an eigenvalue below -EIG_HARD_TOL raises NumericsError.
     """
     rho = np.asarray(rho, dtype=float)
-    if rho.shape != (4, 4):
-        raise ParameterError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    if np.max(np.abs(rho - rho.T)) > _SYMMETRY_TOL:
+    if rho.ndim < 2 or rho.shape[-2:] != (4, 4):
+        raise ParameterError(f"expected a 4x4 matrix or a stack of them, got shape {rho.shape}")
+    if not np.all(np.isfinite(rho)):
+        raise NumericsError("matrix entry is not finite; the input was not a valid density matrix")
+    if np.any(np.abs(rho - np.swapaxes(rho, -1, -2)) > _SYMMETRY_TOL):
         raise ParameterError("matrix is not symmetric within 1e-12")
-    values, vectors = np.linalg.eigh(rho)
-    w = vectors * np.sqrt(_clamped_spectrum(values))
-    tau = w.T @ (_FLIP_SIGNS[:, None] * w[::-1])
-    s = np.sort(np.abs(np.linalg.eigvalsh(tau)))[::-1]
-    return min(1.0, max(0.0, float(s[0] - s[1] - s[2] - s[3])))
+    stack = rho.reshape(-1, 4, 4)
+    values, vectors = np.linalg.eigh(stack)
+    w = vectors * np.sqrt(_clamped_spectrum(values))[:, None, :]
+    tau = np.swapaxes(w, -1, -2) @ (_FLIP_SIGNS[:, None] * w[:, ::-1])
+    s = np.sort(np.abs(np.linalg.eigvalsh(tau)), axis=-1)
+    c = np.clip(s[:, 3] - s[:, 2] - s[:, 1] - s[:, 0], 0.0, 1.0).reshape(rho.shape[:-2])
+    return float(c) if c.ndim == 0 else c
 
 
 def binary_entropy(x: float) -> float:

@@ -23,6 +23,7 @@ cross terms used downstream.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -33,6 +34,8 @@ from .errors import NumericsError, ParameterError
 TAIL_MARGIN = 10
 _MAX_TERMS = 200_000
 _NORM_DRIFT_TOL = 1e-6
+_LN2 = math.log(2.0)
+_SEED_EXP = -1000
 
 
 def _require_finite(name, value):
@@ -229,17 +232,31 @@ def squeezed_distribution(params: SqueezedParams, tail_tol: float = 1e-12) -> Ph
     _check_tail_tol(tail_tol)
     mu, nu, beta = params.mu, params.nu, params.beta
     mean = params.alpha * params.alpha + nu * nu
+    exponent = -0.5 * beta * beta * (1.0 - nu / mu)
     c_prev = 0.0
-    c_cur = math.exp(-0.5 * beta * beta * (1.0 - nu / mu)) / math.sqrt(mu)
+    c_cur = math.exp(exponent) / math.sqrt(mu)
+    # A seed below the normal double range (mean >~ 800 at r = 1) would lose
+    # its bits, so the recurrence then runs on amplitudes scaled by 2^shift,
+    # starting near 2^_SEED_EXP; ldexp undoes the scale exactly, and it is
+    # paid back once the scaled amplitudes pass 1.
+    shift = 0
+    if c_cur < sys.float_info.min:
+        shift = _SEED_EXP - math.floor((exponent - 0.5 * math.log(mu)) / _LN2)
+        c_cur = math.exp(exponent + shift * _LN2) / math.sqrt(mu)
     acc = _Truncator(tail_tol, mean)
     probs = []
     n = 0
     more = True
     while more:
-        probs.append(c_cur * c_cur)
+        c = math.ldexp(c_cur, -shift)
+        probs.append(c * c)
         more = acc.add(probs[-1])
         c_next = (beta * c_cur - nu * math.sqrt(n) * c_prev) / (mu * math.sqrt(n + 1))
         c_prev, c_cur = c_cur, c_next
+        if shift and c_cur > 1.0:
+            drop = min(shift, math.frexp(c_cur)[1])
+            c_prev, c_cur = math.ldexp(c_prev, -drop), math.ldexp(c_cur, -drop)
+            shift -= drop
         n += 1
     arr = np.array(_trim_trailing_zeros(probs))
     total = math.fsum(arr)

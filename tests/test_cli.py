@@ -281,6 +281,21 @@ class TestMain:
         assert captured.out == ""
         assert "tail tolerance" in captured.err
 
+    def test_phase_precision_exceeded_exits_2_without_csv(self, capsys):
+        code = main(
+            ["sweep", "--field", "coherent", "--alpha", "1", "--gt-end", "1e300",
+             "--steps", "3"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "too large for double precision" in captured.err
+
+    @pytest.mark.parametrize("mean", ["840", "900"])
+    def test_bright_squeezed_comparison_completes(self, mean, capsys):
+        assert main(["compare", "--mean", mean, "--r", "1", "--steps", "3"]) == 0
+        assert capsys.readouterr().out.startswith("gt,concurrence_a,eof_a,")
+
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

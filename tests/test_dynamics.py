@@ -1,19 +1,24 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cavent import (
     CoherentParams,
+    NumericsError,
     ParameterError,
     SqueezedParams,
     assemble_rho,
     coherent_distribution,
     gamma_coefficients,
+    solve_alpha_for_mean,
     squeezed_distribution,
     trace_out_field,
     tripartite_state,
 )
+from cavent.cli import CONCURRENCE_CHECK_TOL
+from cavent.dynamics import PHASE_TOL
 
 
 def vacuum_gammas(gt):
@@ -68,6 +73,82 @@ class TestGammaCoefficients:
             gamma_coefficients(vacuum, float("nan"))
         with pytest.raises(ParameterError):
             gamma_coefficients(vacuum, float("inf"))
+
+    @pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf")])
+    def test_rejects_one_bad_angle_in_a_grid(self, vacuum, bad):
+        grid = np.linspace(0.0, 5.0, 40)
+        grid[17] = bad
+        with pytest.raises(ParameterError):
+            gamma_coefficients(vacuum, grid)
+
+    def test_rejects_a_two_dimensional_grid(self, vacuum):
+        with pytest.raises(ParameterError):
+            gamma_coefficients(vacuum, np.ones((2, 3)))
+
+
+class TestGrids:
+    def test_grid_equals_stacked_scalar_calls_bitwise(self):
+        dist = squeezed_distribution(SqueezedParams(solve_alpha_for_mean(50.0, 1.0), 1.0))
+        # 26 angles per block at n_max 152: 100 angles span four blocks
+        grid = np.linspace(0.0, 50.0, 100)
+        batched = gamma_coefficients(dist, grid)
+        for name in batched._fields:
+            scalar = [getattr(gamma_coefficients(dist, gt), name) for gt in grid.tolist()]
+            assert np.array_equal(getattr(batched, name), scalar), name
+
+    def test_row_does_not_depend_on_the_grid_it_sits_in(self):
+        # the squeezed field of compare --mean 400 --r 1 (n_max 505)
+        dist = squeezed_distribution(SqueezedParams(solve_alpha_for_mean(400.0, 1.0), 1.0))
+        grid = np.linspace(0.0, 50.0, 512)
+        picks = [3, 200, 511]
+        small = gamma_coefficients(dist, grid[picks])
+        large = gamma_coefficients(dist, grid)
+        for name in small._fields:
+            assert np.array_equal(getattr(small, name), getattr(large, name)[picks]), name
+
+    def test_stacked_rho_matches_scalar_layout(self):
+        dist = coherent_distribution(CoherentParams(1.0))
+        grid = np.array([0.0, 0.9, 3.3])
+        stack = assemble_rho(gamma_coefficients(dist, grid))
+        assert stack.shape == (3, 4, 4)
+        for rho, gt in zip(stack, grid.tolist()):
+            assert np.array_equal(rho, assemble_rho(gamma_coefficients(dist, gt)))
+
+    def test_scalar_angle_gives_floats(self):
+        g = gamma_coefficients(coherent_distribution(CoherentParams(1.0)), 0.9)
+        assert all(type(value) is float for value in g)
+
+    def test_peak_memory_is_bounded_by_blocks(self):
+        # the coherent field of compare --mean 400 (n_max 559); unblocked, the
+        # trig factors of its 128 angles take ~4.5 MiB
+        dist = coherent_distribution(CoherentParams(20.0))
+        grid = np.linspace(0.0, 50.0, 128)
+        tracemalloc.start()
+        try:
+            gamma_coefficients(dist, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+class TestPhasePrecision:
+    def test_tolerance_is_the_concurrence_check_tolerance(self):
+        assert PHASE_TOL == CONCURRENCE_CHECK_TOL
+
+    def test_refuses_angles_whose_phases_lose_their_digits(self):
+        dist = coherent_distribution(CoherentParams(1.0))
+        with pytest.raises(NumericsError):
+            gamma_coefficients(dist, 1e300)
+        with pytest.raises(NumericsError):
+            gamma_coefficients(dist, np.array([0.0, 1.0, 1e300]))
+
+    def test_threshold(self):
+        dist = coherent_distribution(CoherentParams(1.0))
+        edge = PHASE_TOL / (math.sqrt(dist.n_max + 2) * np.finfo(float).eps)
+        gamma_coefficients(dist, 0.99 * edge)
+        with pytest.raises(NumericsError):
+            gamma_coefficients(dist, 1.01 * edge)
 
 
 class TestAssembleRho:

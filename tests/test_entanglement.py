@@ -118,6 +118,59 @@ class TestConcurrence:
             c = concurrence(make_random_density(rng))
             assert 0.0 <= c <= 1.0
 
+    def test_single_matrix_gives_a_float(self, bell_state):
+        assert type(concurrence(bell_state)) is float
+
+
+class TestStackedConcurrence:
+    @pytest.fixture
+    def stack(self, make_random_density, make_werner, bell_state, product_state):
+        rng = np.random.default_rng(5)
+        dist = coherent_distribution(CoherentParams(1.0))
+        return np.concatenate(
+            [
+                np.array([make_random_density(rng) for _ in range(6)]),
+                np.array([make_werner(0.2), make_werner(0.8), bell_state, product_state]),
+                assemble_rho(gamma_coefficients(dist, np.linspace(0.0, 10.0, 9))),
+            ]
+        )
+
+    def test_equals_per_matrix_calls(self, stack):
+        values = concurrence(stack)
+        assert values.shape == (len(stack),)
+        assert np.array_equal(values, [concurrence(rho) for rho in stack])
+
+    def test_keeps_leading_shape(self, stack):
+        values = concurrence(stack[:12].reshape(3, 4, 4, 4))
+        assert values.shape == (3, 4)
+        assert np.array_equal(values.ravel(), concurrence(stack[:12]))
+
+    def test_rejects_bad_shapes(self, stack):
+        for shape in [(5, 3, 4), (5, 4, 3), (4,), (16,)]:
+            with pytest.raises(ParameterError):
+                concurrence(np.zeros(shape))
+
+    def test_rejects_one_asymmetric_entry(self, stack):
+        stack[7, 0, 1] += 1e-6
+        with pytest.raises(ParameterError):
+            concurrence(stack)
+
+    def test_rejects_one_negative_spectrum(self, stack):
+        stack[3] = rotated(np.diag([0.7, 0.4, 0.0, -0.1]), 0.3, 0.8)
+        with pytest.raises(NumericsError):
+            concurrence(stack)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_one_non_finite_entry(self, stack, bad):
+        stack[11, 2, 2] = bad
+        with pytest.raises(NumericsError):
+            concurrence(stack)
+
+    def test_clamps_roundoff_in_one_entry(self, stack):
+        stack[0] = rotated(np.diag([0.6, 0.4, 5e-9, -5e-9]), 0.3, 0.8)
+        values = concurrence(stack)
+        assert np.all((0.0 <= values) & (values <= 1.0))
+
 
 class TestBinaryEntropy:
     def test_endpoints(self):

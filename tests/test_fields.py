@@ -195,6 +195,40 @@ class TestSqueezedDistribution:
         assert mean_photon(dist) == pytest.approx(50.0, abs=1e-6)
 
 
+class TestBrightSqueezedField:
+    """Means where the seed amplitude c_0 leaves the normal double range at r = 1
+    (subnormal at 840, zero at 900)."""
+
+    @pytest.fixture(params=[840.0, 900.0])
+    def bright(self, request):
+        alpha = solve_alpha_for_mean(request.param, 1.0)
+        return alpha, squeezed_distribution(SqueezedParams(alpha, 1.0))
+
+    def test_normalized(self, bright):
+        _, dist = bright
+        assert 1.0 - 1e-12 <= math.fsum(dist.probs) <= 1.0
+        assert dist.tail_mass <= 1e-12
+
+    def test_matches_closed_hermite_form(self, bright):
+        mpmath = pytest.importorskip("mpmath")
+        alpha, dist = bright
+        with mpmath.workdps(30):
+            mu, nu = mpmath.cosh(1), mpmath.sinh(1)
+            beta = (mu + nu) * mpmath.mpf(alpha)
+            x = beta / mpmath.sqrt(2 * mu * nu)
+            scale = mpmath.exp(-beta**2 * (1 - nu / mu)) / mu
+            ratio = nu / (2 * mu)
+            ref = np.array(
+                [
+                    float(scale * ratio**n * mpmath.hermite(n, x) ** 2 / mpmath.factorial(n))
+                    for n in range(dist.n_max + 1)
+                ]
+            )
+        assert np.max(np.abs(dist.probs - ref)) < 1e-12
+        bulk = ref > 1e-8
+        assert np.max(np.abs(dist.probs[bulk] / ref[bulk] - 1.0)) < 1e-10
+
+
 class TestTailContract:
     def test_squeezed_below_double_precision_raises(self):
         # renormalizing leaves the sum one ulp below 1: tail_mass 1.1e-16

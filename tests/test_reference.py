@@ -1,11 +1,14 @@
-"""Concurrence against a 40-digit evaluation of the same density matrix.
+"""Concurrence against a 40-digit evaluation of a density matrix.
 
 The reference takes the textbook definition directly: the eigenvalues of the
 non-symmetric product rho * (Y rho Y) in 40-digit arithmetic, then
 C = max(0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4)).  At that precision the
-square roots of tiny eigenvalues are exact to far below double roundoff, so
-the comparison measures the error of the double-precision route alone.
-mpmath is a test-only dependency.
+square roots of tiny eigenvalues are exact to far below double roundoff.
+Evaluated on the program's own rho, the comparison measures the error of the
+double-precision concurrence route alone; evaluated on the Fock oracle's rho,
+whose entries are exactly rounded (math.fsum) sums over the field, it also
+measures the error of the pairwise gamma sums.  mpmath is a test-only
+dependency.
 """
 
 import numpy as np
@@ -20,6 +23,8 @@ from cavent import (
     gamma_coefficients,
     solve_alpha_for_mean,
     squeezed_distribution,
+    trace_out_field,
+    tripartite_state,
 )
 
 mpmath = pytest.importorskip("mpmath")
@@ -76,3 +81,13 @@ def test_strided_grid(name):
     for gt in grid[1::16]:
         rho = assemble_rho(gamma_coefficients(dist, float(gt)))
         assert abs(concurrence(rho) - reference_concurrence(rho)) < REFERENCE_TOL
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_strided_grid_against_the_fock_oracle(name):
+    dist, grid = _grid(name)
+    strided = grid[1::16]
+    values = concurrence(assemble_rho(gamma_coefficients(dist, strided)))
+    for gt, c in zip(strided.tolist(), values.tolist()):
+        rho = trace_out_field(tripartite_state(dist, gt))
+        assert abs(c - reference_concurrence(rho)) < REFERENCE_TOL
