@@ -30,13 +30,7 @@ import numpy as np
 from .dynamics import assemble_rho, gamma_coefficients
 from .entanglement import concurrence, eof_from_concurrence
 from .errors import NumericsError, ParameterError
-from .fields import (
-    CoherentParams,
-    SqueezedParams,
-    coherent_distribution,
-    solve_alpha_for_mean,
-    squeezed_distribution,
-)
+from .fields import SqueezedParams, solve_alpha_for_mean, squeezed_distribution
 from .oracle import trace_out_field, tripartite_state
 
 RHO_CHECK_TOL = 1e-10
@@ -53,7 +47,13 @@ class SweepConfig:
     """One field configuration plus the gt grid it is swept over.
 
     Exactly one of ``alpha`` / ``target_mean`` must be given; ``r`` is only
-    meaningful for the squeezed field.
+    meaningful for the squeezed field.  Construction checks what only the
+    configuration knows: the field kind, the amplitude inputs, r with the
+    coherent field, and finite, ordered grid ends with at least two steps.
+    Every other value is checked where it is consumed, when the sweep runs:
+    alpha and r by `SqueezedParams`, target_mean and r by
+    `solve_alpha_for_mean`, tail_tol by the photon distribution, and the
+    grid angles (gt_start >= 0) by `gamma_coefficients`.
     """
 
     field_kind: str
@@ -72,40 +72,27 @@ class SweepConfig:
             )
         if (self.alpha is None) == (self.target_mean is None):
             raise ParameterError("exactly one of alpha / target_mean must be supplied")
-        for name in ("alpha", "target_mean", "r", "gt_start", "gt_end", "tail_tol"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ParameterError(f"{name} must be finite, got {value!r}")
-        if self.alpha is not None and self.alpha < 0.0:
-            raise ParameterError(f"alpha must be >= 0, got {self.alpha}")
-        if self.target_mean is not None and self.target_mean < 0.0:
-            raise ParameterError(f"target_mean must be >= 0, got {self.target_mean}")
-        if self.r < 0.0:
-            raise ParameterError(f"r must be >= 0, got {self.r}")
         if self.field_kind == "coherent" and self.r != 0.0:
             raise ParameterError("r applies to the squeezed field only")
-        if self.gt_start < 0.0:
-            raise ParameterError(f"gt_start must be >= 0, got {self.gt_start}")
-        if not self.gt_start < self.gt_end:
+        # np.linspace would turn an infinite end into NaN angles
+        if not (math.isfinite(self.gt_start) and math.isfinite(self.gt_end)
+                and self.gt_start < self.gt_end):
             raise ParameterError(
-                f"gt_start must be < gt_end, got [{self.gt_start}, {self.gt_end}]"
+                f"the grid needs finite gt_start < gt_end, got [{self.gt_start}, {self.gt_end}]"
             )
         if self.gt_steps < 2:
             raise ParameterError(f"gt_steps must be >= 2, got {self.gt_steps}")
-        if not (0.0 < self.tail_tol < 1.0):
-            raise ParameterError(f"tail_tol must lie in (0, 1), got {self.tail_tol}")
 
     def resolved_alpha(self) -> float:
         if self.alpha is not None:
             return self.alpha
-        r = self.r if self.field_kind == "squeezed" else 0.0
-        return solve_alpha_for_mean(self.target_mean, r)
+        return solve_alpha_for_mean(self.target_mean, self.r)
 
     def distribution(self):
-        alpha = self.resolved_alpha()
-        if self.field_kind == "coherent":
-            return coherent_distribution(CoherentParams(alpha), self.tail_tol)
-        return squeezed_distribution(SqueezedParams(alpha, self.r), self.tail_tol)
+        """Photon distribution of the field; the coherent field is the squeezed
+        field at r = 0."""
+        params = SqueezedParams(self.resolved_alpha(), self.r)
+        return squeezed_distribution(params, self.tail_tol)
 
     def gt_grid(self) -> np.ndarray:
         return np.linspace(self.gt_start, self.gt_end, self.gt_steps)

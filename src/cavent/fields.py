@@ -1,10 +1,9 @@
 """Photon-number statistics of coherent and squeezed coherent cavity fields.
 
-A coherent field of real amplitude ``alpha`` has the Poissonian distribution
-P_n = exp(-<n>) <n>^n / n! with mean photon number <n> = alpha^2.  A squeezed
-coherent field with squeezing parameter ``r >= 0`` has the Hermite-polynomial
-distribution; here it is generated from the Fock amplitudes c_n of the state,
-which satisfy the three-term recurrence
+A squeezed coherent field with real amplitude ``alpha >= 0`` and squeezing
+parameter ``r >= 0`` has the Hermite-polynomial distribution; here it is
+generated from the Fock amplitudes c_n of the state, which satisfy the
+three-term recurrence
 
     c_{n+1} = (beta c_n - nu sqrt(n) c_{n-1}) / (mu sqrt(n+1)),
 
@@ -14,6 +13,11 @@ mathematically equivalent to the closed-form expression but does not overflow
 (the direct form multiplies n!, (nu/2mu)^n and H_n^2, which blows up past
 n ~ 150 at <n> = 50).  P_n = c_n^2 throughout; amplitudes are real and
 nonnegative because alpha is restricted to real values >= 0.
+
+A coherent field is the squeezed field at r = 0, and it is generated by the
+same recurrence: c_0 = exp(-alpha^2 / 2), c_{n+1} = alpha c_n / sqrt(n+1),
+the Poissonian P_n = exp(-<n>) <n>^n / n! with mean photon number
+<n> = alpha^2.
 
 Distributions are truncated at the smallest n reaching cumulative mass
 1 - tail_tol, plus a safety margin that protects the sqrt(P_n P_{n-2})
@@ -129,52 +133,6 @@ def _check_tail_tol(tail_tol):
         raise ParameterError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
 
 
-class _Truncator:
-    """Kahan-compensated cumulative sum with the shared stopping rule.
-
-    Stops TAIL_MARGIN terms after the cumulative mass first reaches
-    1 - tail_tol.  If the running sum stops changing well past the mean
-    (every remaining term is below one ulp), nothing more can be gained in
-    double precision and it stops there instead; `_checked_distribution`
-    then refuses a tolerance the plateau does not meet.
-    """
-
-    def __init__(self, tail_tol, mean):
-        self.tail_tol = tail_tol
-        self.mean = mean
-        self.cum = 0.0
-        self._comp = 0.0
-        self._stale = 0
-        self._stop_at = None
-        self._n = -1
-
-    def add(self, p) -> bool:
-        """Feed P_n for the next n; returns True while more terms are needed."""
-        self._n += 1
-        y = p - self._comp
-        t = self.cum + y
-        self._comp = (t - self.cum) - y
-        self._stale = self._stale + 1 if t == self.cum else 0
-        self.cum = t
-        if self._stop_at is None:
-            if self.cum >= 1.0 - self.tail_tol:
-                self._stop_at = self._n + TAIL_MARGIN
-            elif self._stale >= 5 and self._n > self.mean + 10:
-                self._stop_at = self._n + TAIL_MARGIN
-        if self._n >= _MAX_TERMS:
-            raise NumericsError(
-                f"photon distribution did not reach tail tolerance {self.tail_tol} "
-                f"within {_MAX_TERMS} terms"
-            )
-        return self._stop_at is None or self._n < self._stop_at
-
-
-def _trim_trailing_zeros(probs):
-    while len(probs) > 1 and probs[-1] == 0.0:
-        probs.pop()
-    return probs
-
-
 def _checked_distribution(arr, tail_tol):
     """Distribution from truncated probabilities, holding tail_mass <= tail_tol.
 
@@ -199,35 +157,28 @@ def _checked_distribution(arr, tail_tol):
 def coherent_distribution(params: CoherentParams, tail_tol: float = 1e-12) -> PhotonDistribution:
     """Poissonian photon distribution of a coherent field, P_n = e^-<n> <n>^n / n!.
 
-    Each term is evaluated in log space (log-gamma for the factorial) so the
-    <n> = 50 regime neither overflows nor loses accuracy.
+    The coherent field is the squeezed coherent field at r = 0, so this is
+    `squeezed_distribution` with r = 0: the recurrence reduces to
+    c_0 = exp(-alpha^2 / 2), c_{n+1} = alpha c_n / sqrt(n + 1).
     """
-    _check_tail_tol(tail_tol)
-    mean = params.alpha * params.alpha
-    if mean == 0.0:
-        return PhotonDistribution(np.array([1.0]), 0.0)
-    log_mean = math.log(mean)
-    acc = _Truncator(tail_tol, mean)
-    probs = []
-    n = 0
-    more = True
-    while more:
-        p = math.exp(-mean + n * log_mean - math.lgamma(n + 1))
-        probs.append(p)
-        more = acc.add(p)
-        n += 1
-    return _checked_distribution(np.array(_trim_trailing_zeros(probs)), tail_tol)
+    return squeezed_distribution(SqueezedParams(params.alpha, 0.0), tail_tol)
 
 
 def squeezed_distribution(params: SqueezedParams, tail_tol: float = 1e-12) -> PhotonDistribution:
     """Photon distribution of a squeezed coherent field via the stable recurrence.
 
     P_n = c_n^2 with the Fock amplitudes c_n generated by the three-term
-    recurrence (see module docstring).  Normalization is verified, not
-    imposed: if the truncated sum drifts from 1 by more than 1e-6 the result
-    is rejected, otherwise the vector is renormalized by the measured sum.
-    At r = 0 this reproduces the Poissonian of `coherent_distribution` to
-    better than 1e-12 pointwise.
+    recurrence (see module docstring); r = 0 gives the coherent field.
+    Normalization is verified, not imposed: if the truncated sum drifts from
+    1 by more than 1e-6 the result is rejected, otherwise the vector is
+    renormalized by the measured sum.
+
+    The terms are summed with Kahan compensation, and generation stops
+    TAIL_MARGIN terms after the cumulative mass first reaches 1 - tail_tol.
+    If the running sum stops changing well past the mean (every remaining
+    term is below one ulp), nothing more can be gained in double precision
+    and it stops there instead; `_checked_distribution` then refuses a
+    tolerance the plateau does not meet.
     """
     _check_tail_tol(tail_tol)
     mu, nu, beta = params.mu, params.nu, params.beta
@@ -243,22 +194,37 @@ def squeezed_distribution(params: SqueezedParams, tail_tol: float = 1e-12) -> Ph
     if c_cur < sys.float_info.min:
         shift = _SEED_EXP - math.floor((exponent - 0.5 * math.log(mu)) / _LN2)
         c_cur = math.exp(exponent + shift * _LN2) / math.sqrt(mu)
-    acc = _Truncator(tail_tol, mean)
     probs = []
-    n = 0
-    more = True
-    while more:
+    cum = comp = 0.0
+    stale = 0
+    stop_at = None
+    for n in range(_MAX_TERMS):
         c = math.ldexp(c_cur, -shift)
-        probs.append(c * c)
-        more = acc.add(probs[-1])
+        p = c * c
+        probs.append(p)
+        y = p - comp
+        t = cum + y
+        comp = (t - cum) - y
+        stale = stale + 1 if t == cum else 0
+        cum = t
+        if stop_at is None and (cum >= 1.0 - tail_tol or (stale >= 5 and n > mean + 10)):
+            stop_at = n + TAIL_MARGIN
+        if n == stop_at:
+            break
         c_next = (beta * c_cur - nu * math.sqrt(n) * c_prev) / (mu * math.sqrt(n + 1))
         c_prev, c_cur = c_cur, c_next
         if shift and c_cur > 1.0:
             drop = min(shift, math.frexp(c_cur)[1])
             c_prev, c_cur = math.ldexp(c_prev, -drop), math.ldexp(c_cur, -drop)
             shift -= drop
-        n += 1
-    arr = np.array(_trim_trailing_zeros(probs))
+    else:
+        raise NumericsError(
+            f"photon distribution did not reach tail tolerance {tail_tol} "
+            f"within {_MAX_TERMS} terms"
+        )
+    while len(probs) > 1 and probs[-1] == 0.0:
+        probs.pop()
+    arr = np.array(probs)
     total = math.fsum(arr)
     if abs(total - 1.0) > _NORM_DRIFT_TOL:
         raise NumericsError(

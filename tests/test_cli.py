@@ -43,19 +43,24 @@ class TestSweepConfig:
         with pytest.raises(ParameterError):
             small_cfg(gt_steps=1)
         with pytest.raises(ParameterError):
-            small_cfg(gt_start=-1.0)
+            small_cfg(gt_end=math.inf)
+        # negative angles are refused by the dynamics layer when the sweep runs
+        with pytest.raises(ParameterError):
+            run_sweep(small_cfg(gt_start=-1.0))
 
     def test_rejects_bad_tail_tol(self):
+        # checked by the field layer when the sweep runs
         with pytest.raises(ParameterError):
-            small_cfg(tail_tol=0.0)
+            run_sweep(small_cfg(tail_tol=0.0))
 
     def test_rejects_negative_values(self):
+        # checked by SqueezedParams / solve_alpha_for_mean when the sweep runs
         with pytest.raises(ParameterError):
-            SweepConfig("squeezed", alpha=-1.0)
+            run_sweep(SweepConfig("squeezed", alpha=-1.0))
         with pytest.raises(ParameterError):
-            SweepConfig("squeezed", target_mean=-0.3)
+            run_sweep(SweepConfig("squeezed", target_mean=-0.3))
         with pytest.raises(ParameterError):
-            SweepConfig("squeezed", alpha=1.0, r=-0.2)
+            run_sweep(SweepConfig("squeezed", alpha=1.0, r=-0.2))
 
     def test_mean_resolution_matches_requested_mean(self):
         cfg = SweepConfig("squeezed", target_mean=0.3, r=0.5)
@@ -265,11 +270,43 @@ class TestMain:
 
     def test_numerical_errors_exit_2(self, capsys):
         code = main(
-            ["sweep", "--field", "coherent", "--alpha", "20", "--tail-tol", "1e-15",
+            ["sweep", "--field", "coherent", "--alpha", "0.5", "--tail-tol", "1e-17",
              "--steps", "3"]
         )
+        captured = capsys.readouterr()
         assert code == 2
-        assert "numerical error" in capsys.readouterr().err
+        assert captured.out == ""
+        assert "numerical error" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [command, *field, "--steps", "3"]
+            for command in ("sweep", "oracle-check")
+            for field in (
+                ["--field", "coherent", "--alpha", "-1"],
+                ["--field", "coherent", "--alpha", "nan"],
+                ["--field", "coherent", "--mean", "-0.3"],
+                ["--field", "squeezed", "--alpha", "1", "--r", "-0.2"],
+                ["--field", "coherent", "--alpha", "1", "--tail-tol", "0"],
+                ["--field", "coherent", "--alpha", "1", "--tail-tol", "nan"],
+                ["--field", "coherent", "--alpha", "1", "--gt-start", "-1"],
+                ["--field", "coherent", "--alpha", "1", "--gt-end", "inf"],
+            )
+        ]
+        + [
+            ["compare", "--mean", "-1", "--r", "0.5", "--steps", "3"],
+            ["compare", "--mean", "5", "--r", "-0.2", "--steps", "3"],
+            ["compare", "--mean", "5", "--r", "0.5", "--tail-tol", "2", "--steps", "3"],
+        ],
+        ids=" ".join,
+    )
+    def test_invalid_values_exit_1_without_output(self, argv, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "configuration error" in captured.err
 
     def test_unattainable_tail_tolerance_exits_2_without_csv(self, capsys):
         code = main(
@@ -295,6 +332,14 @@ class TestMain:
     def test_bright_squeezed_comparison_completes(self, mean, capsys):
         assert main(["compare", "--mean", mean, "--r", "1", "--steps", "3"]) == 0
         assert capsys.readouterr().out.startswith("gt,concurrence_a,eof_a,")
+
+    def test_bright_coherent_comparison_completes(self, capsys):
+        assert main(["compare", "--mean", "2060", "--r", "1", "--steps", "3"]) == 0
+        assert capsys.readouterr().out.startswith("gt,concurrence_a,eof_a,")
+
+    def test_bright_coherent_sweep_completes(self, capsys):
+        assert main(["sweep", "--field", "coherent", "--mean", "2060", "--steps", "3"]) == 0
+        assert capsys.readouterr().out.startswith("gt,concurrence,eof\n")
 
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as exc:

@@ -29,6 +29,19 @@ def poisson_reference(mean, n_max):
     )
 
 
+def exact_poisson(alpha, n_max):
+    """Poissonian P_0..P_n_max of amplitude alpha in 40-digit arithmetic,
+    rounded to doubles, and the 40-digit probability of more than n_max
+    photons."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        m = mpmath.mpf(alpha) ** 2
+        terms = [mpmath.exp(-m)]
+        for n in range(1, n_max + 1):
+            terms.append(terms[-1] * m / n)
+        return np.array([float(p) for p in terms]), float(1 - mpmath.fsum(terms))
+
+
 def squeezed_reference(alpha, r, n_max):
     """Independent evaluation of the closed-form Hermite-polynomial distribution.
 
@@ -105,9 +118,23 @@ class TestCoherentDistribution:
             coherent_distribution(CoherentParams(1.0), tail_tol)
 
     def test_unattainable_tail_tolerance(self):
-        # at <n> = 400 the achievable cumulative mass saturates around 1e-13
+        # renormalizing leaves the sum one ulp below 1: tail_mass 1.1e-16
         with pytest.raises(NumericsError):
-            coherent_distribution(CoherentParams(20.0), 1e-15)
+            coherent_distribution(CoherentParams(0.5), 1e-17)
+
+    def test_tight_tail_tolerance_met_at_mean_400(self):
+        dist = coherent_distribution(CoherentParams(20.0), 1e-15)
+        _, discarded = exact_poisson(20.0, dist.n_max)
+        assert discarded <= 1e-15
+
+    @pytest.mark.parametrize("mean", [400, 2060, 5000])
+    def test_bright_field_matches_exact_poissonian(self, mean):
+        alpha = math.sqrt(mean)
+        dist = coherent_distribution(CoherentParams(alpha))
+        ref, discarded = exact_poisson(alpha, dist.n_max)
+        bulk = ref > 1e-6 * ref.max()
+        assert np.max(np.abs(dist.probs[bulk] / ref[bulk] - 1.0)) < 1e-12
+        assert discarded <= 1e-12
 
     def test_probs_are_read_only(self):
         dist = coherent_distribution(CoherentParams(1.0))
@@ -131,11 +158,8 @@ class TestSqueezedDistribution:
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 3.0, math.sqrt(50.0)])
     def test_r_zero_reduces_to_poissonian(self, alpha):
         sq = squeezed_distribution(SqueezedParams(alpha, 0.0))
-        co = coherent_distribution(CoherentParams(alpha))
-        n = min(len(sq.probs), len(co.probs))
-        assert np.max(np.abs(sq.probs[:n] - co.probs[:n])) < 1e-12
-        assert all(p < 1e-12 for p in sq.probs[n:])
-        assert all(p < 1e-12 for p in co.probs[n:])
+        ref = poisson_reference(alpha * alpha, sq.n_max)
+        assert np.max(np.abs(sq.probs - ref)) < 1e-12
 
     def test_squeezed_vacuum_parity(self):
         dist = squeezed_distribution(SqueezedParams(0.0, 0.5))
