@@ -30,7 +30,7 @@ import numpy as np
 from .dynamics import assemble_rho, gamma_coefficients
 from .entanglement import concurrence, eof_from_concurrence
 from .errors import NumericsError, ParameterError
-from .fields import SqueezedParams, solve_alpha_for_mean, squeezed_distribution
+from .fields import DEFAULT_TAIL_TOL, SqueezedParams, solve_alpha_for_mean, squeezed_distribution
 from .oracle import trace_out_field, tripartite_state
 
 RHO_CHECK_TOL = 1e-10
@@ -39,7 +39,6 @@ CONCURRENCE_CHECK_TOL = 1e-8
 DEFAULT_GT_END = 10.0
 DEFAULT_STEPS = 512
 DEFAULT_ORACLE_STEPS = 64
-DEFAULT_TAIL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -118,14 +117,12 @@ class OracleReport:
     points: int
     max_rho_deviation: float
     max_concurrence_deviation: float
-    rho_tolerance: float = RHO_CHECK_TOL
-    concurrence_tolerance: float = CONCURRENCE_CHECK_TOL
 
     @property
     def passed(self) -> bool:
         return (
-            self.max_rho_deviation < self.rho_tolerance
-            and self.max_concurrence_deviation < self.concurrence_tolerance
+            self.max_rho_deviation < RHO_CHECK_TOL
+            and self.max_concurrence_deviation < CONCURRENCE_CHECK_TOL
         )
 
 
@@ -138,14 +135,6 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
         SweepRow(gt, c, eof_from_concurrence(c))
         for gt, c in zip(grid.tolist(), values.tolist())
     ]
-
-
-def _peak(rows):
-    best = rows[0]
-    for row in rows[1:]:
-        if row.eof > best.eof:
-            best = row
-    return best.eof, best.gt
 
 
 def run_compare(cfg_a: SweepConfig, cfg_b: SweepConfig) -> CompareResult:
@@ -162,9 +151,10 @@ def run_compare(cfg_a: SweepConfig, cfg_b: SweepConfig) -> CompareResult:
         (a.gt, a.concurrence, a.eof, b.concurrence, b.eof)
         for a, b in zip(rows_a, rows_b)
     ]
-    peak_a, gt_a = _peak(rows_a)
-    peak_b, gt_b = _peak(rows_b)
-    return CompareResult(merged, peak_a, gt_a, peak_b, gt_b)
+    # max keeps the first of equal peaks
+    peak_a = max(rows_a, key=lambda row: row.eof)
+    peak_b = max(rows_b, key=lambda row: row.eof)
+    return CompareResult(merged, peak_a.eof, peak_a.gt, peak_b.eof, peak_b.gt)
 
 
 def run_oracle_check(cfg: SweepConfig) -> OracleReport:
@@ -190,16 +180,18 @@ def _fmt(x) -> str:
     return format(float(x), ".12g")
 
 
-def write_sweep_csv(rows, stream):
-    stream.write("gt,concurrence,eof\n")
+def _write_rows(header, rows, stream):
+    stream.write(header + "\n")
     for row in rows:
-        stream.write(f"{_fmt(row.gt)},{_fmt(row.concurrence)},{_fmt(row.eof)}\n")
+        stream.write(",".join(map(_fmt, row)) + "\n")
+
+
+def write_sweep_csv(rows, stream):
+    _write_rows("gt,concurrence,eof", rows, stream)
 
 
 def write_compare_csv(result: CompareResult, stream):
-    stream.write("gt,concurrence_a,eof_a,concurrence_b,eof_b\n")
-    for gt, ca, ea, cb, eb in result.rows:
-        stream.write(f"{_fmt(gt)},{_fmt(ca)},{_fmt(ea)},{_fmt(cb)},{_fmt(eb)}\n")
+    _write_rows("gt,concurrence_a,eof_a,concurrence_b,eof_b", result.rows, stream)
     stream.write(f"# peak_eof_a={_fmt(result.peak_eof_a)}\n")
     stream.write(f"# peak_eof_b={_fmt(result.peak_eof_b)}\n")
 
@@ -209,8 +201,8 @@ def format_oracle_report(report: OracleReport) -> str:
         f"points={report.points}\n"
         f"max_rho_deviation={_fmt(report.max_rho_deviation)}\n"
         f"max_concurrence_deviation={_fmt(report.max_concurrence_deviation)}\n"
-        f"rho_tolerance={_fmt(report.rho_tolerance)}\n"
-        f"concurrence_tolerance={_fmt(report.concurrence_tolerance)}\n"
+        f"rho_tolerance={_fmt(RHO_CHECK_TOL)}\n"
+        f"concurrence_tolerance={_fmt(CONCURRENCE_CHECK_TOL)}\n"
         f"result={'PASS' if report.passed else 'FAIL'}\n"
     )
 
@@ -287,25 +279,16 @@ def _config_from_args(args) -> SweepConfig:
     )
 
 
-def _emit(text, out_path):
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # format everything before writing anything: an error leaves stdout and --out untouched
+        buf = io.StringIO()
+        summary, status = "", 0  # the summary goes to stdout when buf goes to --out
         if args.command == "sweep":
-            rows = run_sweep(_config_from_args(args))
-            buf = io.StringIO()
-            write_sweep_csv(rows, buf)
-            _emit(buf.getvalue(), args.out)
-            return 0
-        if args.command == "compare":
+            write_sweep_csv(run_sweep(_config_from_args(args)), buf)
+        elif args.command == "compare":
             shared = dict(
                 gt_start=args.gt_start, gt_end=args.gt_end,
                 gt_steps=args.steps, tail_tol=args.tail_tol,
@@ -313,23 +296,26 @@ def main(argv=None) -> int:
             cfg_a = SweepConfig("squeezed", target_mean=args.mean, r=args.r, **shared)
             cfg_b = SweepConfig("coherent", target_mean=args.mean, **shared)
             result = run_compare(cfg_a, cfg_b)
-            buf = io.StringIO()
             write_compare_csv(result, buf)
-            _emit(buf.getvalue(), args.out)
-            if args.out is not None:
-                sys.stdout.write(
-                    f"peak_eof_a={_fmt(result.peak_eof_a)} at gt={_fmt(result.peak_gt_a)}\n"
-                    f"peak_eof_b={_fmt(result.peak_eof_b)} at gt={_fmt(result.peak_gt_b)}\n"
-                )
-            return 0
-        if args.command == "oracle-check":
+            summary = (
+                f"peak_eof_a={_fmt(result.peak_eof_a)} at gt={_fmt(result.peak_gt_a)}\n"
+                f"peak_eof_b={_fmt(result.peak_eof_b)} at gt={_fmt(result.peak_gt_b)}\n"
+            )
+        else:  # oracle-check, the last command argparse admits
             report = run_oracle_check(_config_from_args(args))
-            text = format_oracle_report(report)
-            _emit(text, args.out)
-            if args.out is not None:
-                sys.stdout.write(text)
-            return 0 if report.passed else 3
-        raise ParameterError(f"unknown command {args.command!r}")
+            summary = format_oracle_report(report)
+            buf.write(summary)
+            status = 0 if report.passed else 3
+        if args.out is None:
+            sys.stdout.write(buf.getvalue())
+        else:
+            try:
+                with open(args.out, "w", newline="") as fh:
+                    fh.write(buf.getvalue())
+            except OSError as exc:
+                raise ParameterError(f"cannot write {args.out}: {exc.strerror}") from exc
+            sys.stdout.write(summary)
+        return status
     except ParameterError as exc:
         print(f"cavent: configuration error: {exc}", file=sys.stderr)
         return 1

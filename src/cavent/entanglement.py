@@ -86,23 +86,38 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
     return float(c) if c.ndim == 0 else c
 
 
+def _unit_interval(what, x):
+    """x clamped to [0, 1]; ParameterError unless finite and within 1e-12 of it."""
+    if not math.isfinite(x) or x < -1e-12 or x > 1.0 + 1e-12:
+        raise ParameterError(f"{what} must lie in [0, 1], got {x!r}")
+    return min(1.0, max(0.0, x))
+
+
 def binary_entropy(x: float) -> float:
     """h(x) = -x log2 x - (1-x) log2 (1-x), with the 0 log 0 = 0 convention."""
-    if not math.isfinite(x) or x < -1e-12 or x > 1.0 + 1e-12:
-        raise ParameterError(f"binary_entropy argument must lie in [0, 1], got {x!r}")
-    x = min(1.0, max(0.0, x))
+    x = _unit_interval("binary_entropy argument", x)
     if x == 0.0 or x == 1.0:
         return 0.0
     return -(x * math.log(x) + (1.0 - x) * math.log(1.0 - x)) / _LN2
 
 
 def eof_from_concurrence(c: float) -> float:
-    """Entanglement of formation h((1 + sqrt(1 - C^2)) / 2), clamped to [0, 1]."""
-    value = binary_entropy(0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - c * c))))
+    """Entanglement of formation h((1 + sqrt(1 - C^2)) / 2), clamped to [0, 1].
+
+    A C within 1e-12 of [0, 1] is clamped into it; any other C raises ParameterError.
+    """
+    c = _unit_interval("concurrence", c)
+    value = binary_entropy(0.5 * (1.0 + math.sqrt(1.0 - c * c)))
     return min(1.0, max(0.0, value))
 
 
 def entanglement_of_formation(rho: np.ndarray) -> EntanglementResult:
-    """Concurrence and entanglement of formation of a two-qubit density matrix."""
+    """Concurrence and entanglement of formation of one 4x4 two-qubit density
+    matrix; a stack raises ParameterError (`concurrence` takes stacks)."""
+    if np.ndim(rho) != 2:
+        raise ParameterError(
+            f"entanglement_of_formation takes a single 4x4 matrix, got shape {np.shape(rho)}; "
+            "use concurrence for a stack"
+        )
     c = concurrence(rho)
     return EntanglementResult(c, eof_from_concurrence(c))

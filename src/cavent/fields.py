@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import NumericsError, ParameterError
 
+DEFAULT_TAIL_TOL = 1e-12
 TAIL_MARGIN = 10
 _MAX_TERMS = 200_000
 _NORM_DRIFT_TOL = 1e-6
@@ -128,33 +129,9 @@ class QuadratureVariances(NamedTuple):
     da2: float
 
 
-def _check_tail_tol(tail_tol):
-    if not (0.0 < tail_tol < 1.0):
-        raise ParameterError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
-
-
-def _checked_distribution(arr, tail_tol):
-    """Distribution from truncated probabilities, holding tail_mass <= tail_tol.
-
-    Rescales (at most a few ulp) so the exactly-rounded sum never exceeds 1,
-    then refuses a tolerance that double precision did not reach.
-    """
-    total = math.fsum(arr)
-    guard = 0
-    while total > 1.0 and guard < 8:
-        arr = arr / total
-        total = math.fsum(arr)
-        guard += 1
-    tail_mass = max(0.0, 1.0 - total)
-    if tail_mass > tail_tol:
-        raise NumericsError(
-            f"tail tolerance {tail_tol} is unattainable in double precision: "
-            f"the truncated distribution leaves tail mass {tail_mass!r}"
-        )
-    return PhotonDistribution(arr, tail_mass)
-
-
-def coherent_distribution(params: CoherentParams, tail_tol: float = 1e-12) -> PhotonDistribution:
+def coherent_distribution(
+    params: CoherentParams, tail_tol: float = DEFAULT_TAIL_TOL
+) -> PhotonDistribution:
     """Poissonian photon distribution of a coherent field, P_n = e^-<n> <n>^n / n!.
 
     The coherent field is the squeezed coherent field at r = 0, so this is
@@ -164,7 +141,9 @@ def coherent_distribution(params: CoherentParams, tail_tol: float = 1e-12) -> Ph
     return squeezed_distribution(SqueezedParams(params.alpha, 0.0), tail_tol)
 
 
-def squeezed_distribution(params: SqueezedParams, tail_tol: float = 1e-12) -> PhotonDistribution:
+def squeezed_distribution(
+    params: SqueezedParams, tail_tol: float = DEFAULT_TAIL_TOL
+) -> PhotonDistribution:
     """Photon distribution of a squeezed coherent field via the stable recurrence.
 
     P_n = c_n^2 with the Fock amplitudes c_n generated by the three-term
@@ -177,10 +156,10 @@ def squeezed_distribution(params: SqueezedParams, tail_tol: float = 1e-12) -> Ph
     TAIL_MARGIN terms after the cumulative mass first reaches 1 - tail_tol.
     If the running sum stops changing well past the mean (every remaining
     term is below one ulp), nothing more can be gained in double precision
-    and it stops there instead; `_checked_distribution` then refuses a
-    tolerance the plateau does not meet.
+    and it stops there, refusing a tolerance the plateau does not meet.
     """
-    _check_tail_tol(tail_tol)
+    if not (0.0 < tail_tol < 1.0):
+        raise ParameterError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
     mu, nu, beta = params.mu, params.nu, params.beta
     mean = params.alpha * params.alpha + nu * nu
     exponent = -0.5 * beta * beta * (1.0 - nu / mu)
@@ -231,7 +210,20 @@ def squeezed_distribution(params: SqueezedParams, tail_tol: float = 1e-12) -> Ph
             f"squeezed amplitude recurrence lost normalization: sum(P_n) = {total!r} "
             f"for alpha={params.alpha}, r={params.r}"
         )
-    return _checked_distribution(arr / total, tail_tol)
+    # renormalize by the measured sum; while the exactly rounded sum still
+    # exceeds 1 (by a few ulp), divide by it again, at most 8 more times
+    for _ in range(9):
+        arr = arr / total
+        total = math.fsum(arr)
+        if not total > 1.0:
+            break
+    tail_mass = max(0.0, 1.0 - total)
+    if tail_mass > tail_tol:
+        raise NumericsError(
+            f"tail tolerance {tail_tol} is unattainable in double precision: "
+            f"the truncated distribution leaves tail mass {tail_mass!r}"
+        )
+    return PhotonDistribution(arr, tail_mass)
 
 
 def mean_photon(dist: PhotonDistribution) -> float:

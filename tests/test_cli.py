@@ -150,8 +150,9 @@ class TestRunOracleCheck:
         report = run_oracle_check(small_cfg(target_mean=None, alpha=0.0, gt_steps=17))
         assert report.passed
         assert report.max_rho_deviation < 1e-12
-        # sqrt of structurally-zero eigenvalues turns 1e-17 matrix roundoff
-        # into ~3e-9 concurrence scatter; 1e-8 is the attainable agreement
+        # the factored route takes no square root of a small eigenvalue and
+        # agrees to ~6e-16 here; 1e-8 is the oracle-check contract
+        # (CONCURRENCE_CHECK_TOL), which this test keeps
         assert report.max_concurrence_deviation < 1e-8
 
     def test_low_mean_field_passes(self):
@@ -308,6 +309,24 @@ class TestMain:
         assert captured.out == ""
         assert "configuration error" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--field", "coherent", "--alpha", "1", "--steps", "3"],
+            ["compare", "--mean", "0.3", "--r", "0.5", "--steps", "3"],
+            ["oracle-check", "--field", "coherent", "--alpha", "1", "--steps", "3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_unwritable_out_exits_1_without_output(self, argv, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        code = main(argv + ["--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"cavent: configuration error: cannot write {out}: ")
+        assert not out.parent.exists()
+
     def test_unattainable_tail_tolerance_exits_2_without_csv(self, capsys):
         code = main(
             ["sweep", "--field", "squeezed", "--alpha", "0.5", "--tail-tol", "1e-17",
@@ -317,6 +336,18 @@ class TestMain:
         assert code == 2
         assert captured.out == ""
         assert "tail tolerance" in captured.err
+
+    def test_error_leaves_out_file_untouched(self, tmp_path, capsys):
+        out = tmp_path / "kept.csv"
+        out.write_text("kept\n")
+        code = main(
+            ["compare", "--mean", "5", "--r", "0.5", "--tail-tol", "1e-17", "--steps", "3",
+             "--out", str(out)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert out.read_text() == "kept\n"
 
     def test_phase_precision_exceeded_exits_2_without_csv(self, capsys):
         code = main(

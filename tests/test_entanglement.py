@@ -206,6 +206,21 @@ class TestEntanglementOfFormation:
         # C = 0.6 maps to h(0.9)
         assert eof_from_concurrence(0.6) == pytest.approx(H_OF_09, abs=1e-12)
 
+    def test_tolerates_roundoff_overshoot(self):
+        assert eof_from_concurrence(-1e-13) == 0.0
+        assert eof_from_concurrence(1.0 + 1e-13) == 1.0
+
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"), 2.0, -3.0, -2e-11, 1.0 + 2e-11])
+    def test_rejects_out_of_domain(self, c):
+        # an impossible concurrence must not read as maximal entanglement
+        with pytest.raises(ParameterError, match="concurrence must lie in"):
+            eof_from_concurrence(c)
+
+    def test_rejects_a_stack(self, bell_state, product_state):
+        # concurrence takes stacks; E_F keeps the single-matrix contract
+        with pytest.raises(ParameterError, match="single 4x4 matrix"):
+            entanglement_of_formation(np.stack([bell_state, product_state]))
+
     def test_monotone_on_dense_grid(self):
         grid = np.linspace(0.0, 1.0, 1000)
         values = [eof_from_concurrence(float(c)) for c in grid]
