@@ -29,7 +29,7 @@ from .fields import (
     solve_alpha_for_mean,
     squeezed_distribution,
 )
-from .oracle import TripartiteState, quartic_eigenvalues, trace_out_field, tripartite_state
+from .oracle import TripartiteState, trace_out_field, tripartite_state
 from .cli import (
     CompareResult,
     OracleReport,
@@ -67,7 +67,6 @@ __all__ = [
     "gamma_coefficients",
     "mean_photon",
     "quadrature_variances",
-    "quartic_eigenvalues",
     "run_compare",
     "run_oracle_check",
     "run_sweep",

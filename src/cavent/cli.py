@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import assemble_rho, gamma_coefficients
+from .dynamics import _blocks, assemble_rho, gamma_coefficients
 from .entanglement import concurrence, eof_from_concurrence
 from .errors import NumericsError, ParameterError
 from .fields import DEFAULT_TAIL_TOL, SqueezedParams, solve_alpha_for_mean, squeezed_distribution
@@ -165,9 +165,10 @@ def run_oracle_check(cfg: SweepConfig) -> OracleReport:
     dist = cfg.distribution()
     grid = cfg.gt_grid()
     rho_sum = assemble_rho(gamma_coefficients(dist, grid))
-    rho_oracle = np.array(
-        [trace_out_field(tripartite_state(dist, gt)) for gt in grid.tolist()]
-    )
+    # block by block, so that peak memory does not grow with the grid
+    rho_oracle = np.empty_like(rho_sum)
+    for block in _blocks(len(grid), len(dist.probs)):
+        rho_oracle[block] = trace_out_field(tripartite_state(dist, grid[block]))
     max_rho = float(np.max(np.abs(rho_sum - rho_oracle)))
     max_conc = float(np.max(np.abs(concurrence(rho_sum) - concurrence(rho_oracle))))
     return OracleReport(len(grid), max_rho, max_conc)

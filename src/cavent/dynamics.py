@@ -68,21 +68,22 @@ class GammaCoefficients(NamedTuple):
     g10: float | np.ndarray
 
 
-def _check_rabi_angle(gt) -> np.ndarray:
-    """gt, one angle or an array of them, as a float array; every angle must be
-    finite and >= 0."""
+def _check_angles(gt, levels) -> np.ndarray:
+    """gt, one angle or a 1-D array of them, as a float array.
+
+    Raises ParameterError for a non-finite or negative angle or a grid of more
+    than one dimension, and NumericsError for angles whose largest phase
+    gt*sqrt(n_max + 2), over `levels` = n_max + 1 photon numbers, carries an
+    absolute rounding error above PHASE_TOL.
+    """
     grid = np.asarray(gt, dtype=float)
     finite = np.isfinite(grid)
     if not np.all(finite):
         raise ParameterError(f"gt must be finite, got {float(grid[~finite].flat[0])!r}")
     if np.any(grid < 0.0):
         raise ParameterError(f"gt must be >= 0, got {float(grid[grid < 0.0].flat[0])}")
-    return grid
-
-
-def _check_phase_precision(grid, levels):
-    """Refuse angles whose largest phase gt*sqrt(n_max + 2) carries an absolute
-    rounding error above PHASE_TOL."""
+    if grid.ndim > 1:
+        raise ParameterError(f"gt must be a scalar or a 1-D array, got shape {grid.shape}")
     phase_error = float(np.max(grid, initial=0.0)) * math.sqrt(levels + 1) * _EPS
     if phase_error > PHASE_TOL:
         raise NumericsError(
@@ -90,6 +91,14 @@ def _check_phase_precision(grid, levels):
             f"the phases gt*sqrt(n) at n_max = {levels - 1} carry a rounding error "
             f"of {phase_error:.3g}, above {PHASE_TOL}"
         )
+    return grid
+
+
+def _blocks(count, levels):
+    """Slices that cut a grid of `count` angles into blocks of about
+    _BLOCK_ELEMENTS (angle, n) terms over `levels` photon numbers."""
+    rows = max(1, _BLOCK_ELEMENTS // levels)
+    return [slice(start, start + rows) for start in range(0, count, rows)]
 
 
 def _block_sums(gt, p, w1, w2, roots):
@@ -134,14 +143,11 @@ def gamma_coefficients(dist: PhotonDistribution, gt: float | np.ndarray) -> Gamm
     gt is one Rabi angle, giving float fields, or a 1-D array of G angles,
     giving (G,) array fields.  Each angle's sums are the same bits whichever
     grid it sits in.  Raises ParameterError for a negative or non-finite
-    angle and NumericsError for an angle too large for its phases to carry
-    correct digits (see PHASE_TOL).
+    angle or a grid of more than one dimension, and NumericsError for an
+    angle too large for its phases to carry correct digits (see PHASE_TOL).
     """
-    grid = _check_rabi_angle(gt)
-    if grid.ndim > 1:
-        raise ParameterError(f"gt must be a scalar or a 1-D array, got shape {grid.shape}")
     p = dist.probs
-    _check_phase_precision(grid, len(p))
+    grid = _check_angles(gt, len(p))
     roots = np.sqrt(np.maximum(np.arange(-1.0, len(p) + 2.0), 0.0))
 
     # one- and two-photon coherence weights; zero where the index underflows
@@ -151,10 +157,9 @@ def gamma_coefficients(dist: PhotonDistribution, gt: float | np.ndarray) -> Gamm
     w2[2:] = np.sqrt(p[2:] * p[:-2])
 
     angles = grid.reshape(-1, 1)
-    rows = max(1, _BLOCK_ELEMENTS // len(p))
     sums = np.empty((10, len(angles)))
-    for start in range(0, len(angles), rows):
-        sums[:, start:start + rows] = _block_sums(angles[start:start + rows], p, w1, w2, roots)
+    for block in _blocks(len(angles), len(p)):
+        sums[:, block] = _block_sums(angles[block], p, w1, w2, roots)
     if grid.ndim == 0:
         return GammaCoefficients(*(float(s[0]) for s in sums))
     return GammaCoefficients(*sums)

@@ -20,7 +20,6 @@ from cavent import (
     eof_from_concurrence,
     gamma_coefficients,
     mean_photon,
-    quartic_eigenvalues,
     run_compare,
     run_sweep,
     solve_alpha_for_mean,
@@ -30,6 +29,7 @@ from cavent import (
     tripartite_state,
 )
 from cavent.cli import main
+from quartic_oracle import quartic_eigenvalues
 
 # mean photon numbers under test, with a feasible squeezing for each
 MEANS_AND_R = [(0.01, 0.05), (0.3, 0.5), (1.0, 0.75), (5.0, 1.0), (50.0, 1.0)]

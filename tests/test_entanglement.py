@@ -14,9 +14,9 @@ from cavent import (
     entanglement_of_formation,
     eof_from_concurrence,
     gamma_coefficients,
-    quartic_eigenvalues,
     spin_flipped,
 )
+from quartic_oracle import quartic_eigenvalues
 
 # -x log2 x - (1-x) log2 (1-x) at x = 0.9, frozen from a direct evaluation
 H_OF_09 = 0.46899559358928117

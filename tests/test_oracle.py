@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,20 +9,43 @@ from cavent import (
     NumericsError,
     ParameterError,
     SqueezedParams,
+    SweepConfig,
     assemble_rho,
     coherent_distribution,
     concurrence,
     gamma_coefficients,
-    quartic_eigenvalues,
+    run_oracle_check,
+    solve_alpha_for_mean,
     spin_flipped,
     squeezed_distribution,
     trace_out_field,
     tripartite_state,
 )
+from cavent.dynamics import PHASE_TOL, _blocks
+
+from quartic_oracle import quartic_eigenvalues
 
 
 # sigma_y x sigma_y, written out rather than taken from the production code
 SPIN_FLIP = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))
+
+# (mean, r, gt_end, steps) of the reference grids
+REFERENCE_GRIDS = [(0.3, 0.5, 10.0, 512), (50.0, 1.0, 50.0, 512), (400.0, 1.0, 50.0, 128)]
+
+
+def reference_field(mean, r):
+    return squeezed_distribution(SqueezedParams(solve_alpha_for_mean(mean, r), r))
+
+
+def fsum_trace(amps):
+    """The per-point partial trace the batched one replaced: exactly rounded
+    sums of the same products, one (2, 2, n) amplitude table at a time."""
+    v = amps.reshape(4, -1)
+    rho = np.empty((4, 4))
+    for i in range(4):
+        for j in range(i, 4):
+            rho[i, j] = rho[j, i] = math.fsum(v[i] * v[j])
+    return rho
 
 
 def tau_route_squares(rho):
@@ -65,7 +89,14 @@ class TestTripartiteState:
     def test_unit_norm(self, alpha, r, gt):
         dist = squeezed_distribution(SqueezedParams(alpha, r))
         state = tripartite_state(dist, gt)
+        assert type(state.norm_squared()) is float
         assert state.norm_squared() == pytest.approx(1.0, abs=1e-10)
+        # one norm per angle of a grid
+        grid = np.array([0.0, gt, 2.0 * gt, 7.5])
+        norms = tripartite_state(dist, grid).norm_squared()
+        assert norms.shape == grid.shape
+        assert np.max(np.abs(norms - 1.0)) < 1e-10
+        assert norms[1] == state.norm_squared()
 
     def test_branch_photon_offsets(self):
         # eg/ge branches live one photon above the source index, gg two above
@@ -78,6 +109,32 @@ class TestTripartiteState:
     def test_rejects_negative_angle(self, vacuum):
         with pytest.raises(ParameterError):
             tripartite_state(vacuum, -1.0)
+
+    def test_rejects_a_grid_of_more_than_one_dimension(self, vacuum):
+        with pytest.raises(ParameterError):
+            tripartite_state(vacuum, np.zeros((2, 3)))
+
+    def test_refuses_angles_whose_phases_lose_their_digits(self):
+        dist = squeezed_distribution(SqueezedParams(1.0, 0.5))
+        with pytest.raises(NumericsError):
+            tripartite_state(dist, 1e300)
+        with pytest.raises(NumericsError):
+            tripartite_state(dist, np.array([0.0, 1.0, 1e300]))
+
+    def test_phase_threshold_is_that_of_the_gamma_sums(self):
+        dist = coherent_distribution(CoherentParams(1.0))
+        edge = PHASE_TOL / (math.sqrt(dist.n_max + 2) * np.finfo(float).eps)
+        tripartite_state(dist, 0.99 * edge)
+        gamma_coefficients(dist, 0.99 * edge)
+        for refuse in (tripartite_state, gamma_coefficients):
+            with pytest.raises(NumericsError):
+                refuse(dist, 1.01 * edge)
+
+    def test_grid_shape(self):
+        dist = coherent_distribution(CoherentParams(0.9))
+        stack = tripartite_state(dist, np.array([0.0, 1.1, 2.0]))
+        assert stack.amps.shape == (3, 2, 2, dist.n_max + 3)
+        assert tripartite_state(dist, 1.1).amps.shape == (2, 2, dist.n_max + 3)
 
 
 class TestTraceOutField:
@@ -107,6 +164,51 @@ class TestTraceOutField:
         dist = squeezed_distribution(SqueezedParams(1.5, 0.4))
         rho = trace_out_field(tripartite_state(dist, 2.3))
         assert np.array_equal(rho, rho.T)
+
+
+class TestBatchedOracle:
+    def test_angle_gives_the_same_bits_in_any_grid(self):
+        # 26 angles per block at n_max 152: the 512 angles span 20 blocks
+        dist = reference_field(50.0, 1.0)
+        grid = np.linspace(0.0, 50.0, 512)
+        whole = tripartite_state(dist, grid)
+        rho_whole = trace_out_field(whole)
+        rho_blocked = np.empty_like(rho_whole)
+        for block in _blocks(len(grid), len(dist.probs)):
+            rho_blocked[block] = trace_out_field(tripartite_state(dist, grid[block]))
+        assert np.array_equal(rho_blocked, rho_whole)
+        # single angles on both sides of block boundaries, and at the ends
+        edges = [0, 25, 26, 27, 51, 52, 255, 259, 260, 493, 494, 511]
+        for k in edges:
+            alone = tripartite_state(dist, grid[k])
+            assert np.array_equal(alone.amps, whole.amps[k]), k
+            assert np.array_equal(trace_out_field(alone), rho_whole[k]), k
+
+    @pytest.mark.parametrize("mean,r,gt_end,steps", REFERENCE_GRIDS)
+    def test_pairwise_trace_matches_fsum_trace(self, mean, r, gt_end, steps):
+        dist = reference_field(mean, r)
+        state = tripartite_state(dist, np.linspace(0.0, gt_end, steps))
+        rho = trace_out_field(state)
+        exact = np.array([fsum_trace(amps) for amps in state.amps])
+        assert np.max(np.abs(rho - exact)) < 1e-15
+
+    def test_stack_is_exactly_symmetric(self):
+        dist = reference_field(0.3, 0.5)
+        rho = trace_out_field(tripartite_state(dist, np.linspace(0.0, 10.0, 64)))
+        assert np.array_equal(rho, np.swapaxes(rho, -1, -2))
+
+    def test_oracle_check_peak_memory_is_bounded_by_blocks(self):
+        # unblocked, the amplitude table and trace products of all 512 angles
+        # take ~6.8 MiB
+        cfg = SweepConfig("squeezed", target_mean=50.0, r=1.0, gt_end=50.0, gt_steps=512)
+        tracemalloc.start()
+        try:
+            report = run_oracle_check(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 1 << 20
 
 
 class TestQuarticEigenvalues:
