@@ -13,6 +13,15 @@ distribution.  Populations carry weight P_n; coherences between branches that
 differ by one (two) photon emissions carry weight sqrt(P_n P_{n-1})
 (sqrt(P_n P_{n-2})), with out-of-range indices contributing zero.
 
+The sums skip the numerically dead head of a bright distribution.  They start
+at L = max(0, c - 2), where c is the first n whose cumulative mass exceeds
+eps^2 (eps = 2^-52); the weights of the first kept terms are built from the
+kept range alone, so sqrt(P_L P_{L-1}), sqrt(P_L P_{L-2}) and
+sqrt(P_{L+1} P_{L-1}) read zero as at n = 0.  Every dropped term or factor is
+at most eps^2, so each entry moves by at most ~2 eps^2 (~1e-31) from the
+full-range sum.  At <n> = 400 this skips 277 of 506 squeezed (r = 1) and 188
+of 560 coherent photon numbers; a dim field (P_0 > eps^2) skips none.
+
 A whole grid of angles is evaluated at once, in blocks of about 4096
 (angle, n) terms so that peak memory does not grow with the grid.  Every sum
 runs over ascending n and is reduced by numpy's pairwise summation along the
@@ -104,8 +113,9 @@ def _blocks(count, levels):
 def _block_sums(gt, p, w1, w2, roots):
     """The ten sums for a (rows, 1) block of angles, each reduced along n.
 
-    roots[j] = sqrt(j - 1), with sqrt(-1) read as 0, so the windows of
-    length n_max + 1 starting at j = 0, 1, 2, 3 hold the phases of n - 1, n,
+    p, w1 and w2 hold the kept photon numbers n = first .. n_max, and
+    roots[j] = sqrt(first + j - 1), with sqrt(-1) read as 0, so the windows
+    of length len(p) starting at j = 0, 1, 2, 3 hold the phases of n - 1, n,
     n + 1 and n + 2 photons: one cosine and one sine pass serve all four.
     """
     phase = gt * roots
@@ -142,15 +152,21 @@ def gamma_coefficients(dist: PhotonDistribution, gt: float | np.ndarray) -> Gamm
 
     gt is one Rabi angle, giving float fields, or a 1-D array of G angles,
     giving (G,) array fields.  Each angle's sums are the same bits whichever
-    grid it sits in.  Raises ParameterError for a negative or non-finite
-    angle or a grid of more than one dimension, and NumericsError for an
-    angle too large for its phases to carry correct digits (see PHASE_TOL).
+    grid it sits in.  The sums start at the first photon number that can
+    reach a result bit, L = max(0, c - 2) with c the first n whose cumulative
+    mass exceeds eps^2, which moves each of them by at most ~2 eps^2 from the
+    full-range sum (see the module docstring).  Raises ParameterError for a
+    negative or non-finite angle or a grid of more than one dimension, and
+    NumericsError for an angle too large for its phases to carry correct
+    digits (see PHASE_TOL).
     """
-    p = dist.probs
-    grid = _check_angles(gt, len(p))
-    roots = np.sqrt(np.maximum(np.arange(-1.0, len(p) + 2.0), 0.0))
+    grid = _check_angles(gt, len(dist.probs))
+    first = max(0, int(np.argmax(np.cumsum(dist.probs) > _EPS * _EPS)) - 2)
+    p = dist.probs[first:]
+    roots = np.sqrt(np.maximum(np.arange(first - 1.0, first + len(p) + 2.0), 0.0))
 
-    # one- and two-photon coherence weights; zero where the index underflows
+    # one- and two-photon coherence weights; zero where the index leaves the
+    # kept range
     w1 = np.zeros_like(p)
     w1[1:] = np.sqrt(p[1:] * p[:-1])
     w2 = np.zeros_like(p)

@@ -11,8 +11,12 @@ with mu = cosh r, nu = sinh r, beta = (mu + nu) alpha and seed
 c_0 = exp(-beta^2 (1 - nu/mu) / 2) / sqrt(mu).  The recurrence is
 mathematically equivalent to the closed-form expression but does not overflow
 (the direct form multiplies n!, (nu/2mu)^n and H_n^2, which blows up past
-n ~ 150 at <n> = 50).  P_n = c_n^2 throughout; amplitudes are real and
-nonnegative because alpha is restricted to real values >= 0.
+n ~ 150 at <n> = 50).  The amplitudes are real, because alpha and r are, but
+for r > 0 they change sign: at <n> = 0.3, r = 0.5, 22 of the 44 c_n are
+negative.  P_n = c_n^2 throughout, which drops that sign, so the downstream
+sums see the state sum_n |c_n| |n>, not the squeezed coherent state.  Moving
+to the signed amplitudes is an open item of ROADMAP.md.  For r = 0 every
+c_n >= 0.
 
 A coherent field is the squeezed field at r = 0, and it is generated by the
 same recurrence: c_0 = exp(-alpha^2 / 2), c_{n+1} = alpha c_n / sqrt(n+1),

@@ -37,14 +37,23 @@ class TripartiteState:
     Level index 0 is the excited state, 1 the ground state; the photon axis
     runs from 0 to n_max + 2 of the source distribution.  One angle gives a
     (2, 2, n_max + 3) table, a grid of G angles a (G, 2, 2, n_max + 3) stack.
+
+    The table is read-only.  A read-only float array that owns its memory,
+    such as the one `tripartite_state` builds, is kept without a copy.
+    Anything else, such as a list or a caller's writable array, is copied
+    and the copy frozen, so the caller's array stays writable and later
+    writes to it do not reach the state.
     """
 
     amps: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.amps, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "amps", arr)
+        arr = self.amps
+        owned = type(arr) is np.ndarray and arr.dtype == float and arr.flags.owndata
+        if not (owned and not arr.flags.writeable):
+            arr = np.array(arr, dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, "amps", arr)
 
     def norm_squared(self) -> float | np.ndarray:
         """Squared norm per angle: a float for one angle, a (G,) array for a stack."""
@@ -66,17 +75,20 @@ def tripartite_state(dist: PhotonDistribution, gt: float | np.ndarray) -> Tripar
     grid = _check_angles(gt, levels)
     a = np.sqrt(p)
     # one cosine and one sine pass over gt*sqrt(k), k = 1 .. n_max + 2; the
-    # windows starting at k = 1 and k = 2 hold the n + 1 and n + 2 phases
-    phase = grid.reshape(-1, 1) * np.sqrt(np.arange(1.0, levels + 2.0))
-    cos, sin = np.cos(phase), np.sin(phase)
-    c1, s1 = cos[:, :levels], sin[:, :levels]
-    c2, s2 = cos[:, 1:], sin[:, 1:]
-    amps = np.zeros((len(phase), 2, 2, levels + 2))
-    amps[:, 0, 0, :levels] = a * c1 * c1
-    amps[:, 0, 1, 1:levels + 1] = a * c1 * s1
-    amps[:, 1, 0, 1:levels + 1] = a * c2 * s1
-    amps[:, 1, 1, 2:] = a * s1 * s2
-    return TripartiteState(amps[0] if grid.ndim == 0 else amps)
+    # windows starting at k = 1 and k = 2 hold the n + 1 and n + 2 phases;
+    # the sines overwrite the phases, which are not needed after them
+    phase = grid[..., None] * np.sqrt(np.arange(1.0, levels + 2.0))
+    cos = np.cos(phase)
+    sin = np.sin(phase, out=phase)
+    c1, s1 = cos[..., :levels], sin[..., :levels]
+    c2, s2 = cos[..., 1:], sin[..., 1:]
+    amps = np.zeros(grid.shape + (2, 2, levels + 2))
+    amps[..., 0, 0, :levels] = a * c1 * c1
+    amps[..., 0, 1, 1:levels + 1] = a * c1 * s1
+    amps[..., 1, 0, 1:levels + 1] = a * c2 * s1
+    amps[..., 1, 1, 2:] = a * s1 * s2
+    amps.setflags(write=False)
+    return TripartiteState(amps)
 
 
 def trace_out_field(state: TripartiteState) -> np.ndarray:

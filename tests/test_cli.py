@@ -160,6 +160,16 @@ class TestRunOracleCheck:
         assert report.passed
         assert report.points == 17
 
+    @pytest.mark.parametrize("field,r", [("squeezed", 1.0), ("coherent", 0.0)])
+    def test_bright_field_matches_the_full_range_oracle(self, field, r):
+        # the gamma sums skip the dead head of these fields, the Fock oracle
+        # sums every photon number
+        cfg = SweepConfig(field, target_mean=400.0, r=r, gt_end=50.0, gt_steps=128)
+        report = run_oracle_check(cfg)
+        assert report.passed
+        assert report.points == 128
+        assert report.max_rho_deviation <= 1e-15
+
 
 class TestCsvFormat:
     def test_sweep_csv_shape(self):

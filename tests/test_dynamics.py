@@ -17,8 +17,11 @@ from cavent import (
     trace_out_field,
     tripartite_state,
 )
+import cavent.dynamics as dynamics
 from cavent.cli import CONCURRENCE_CHECK_TOL
 from cavent.dynamics import PHASE_TOL
+
+EPS = float(np.finfo(float).eps)
 
 
 def vacuum_gammas(gt):
@@ -32,6 +35,49 @@ def vacuum_gammas(gt):
         "g4": s1**2 * c1 * c2,
         "g5": s1**2 * s2**2,
     }
+
+
+def full_range_sums(dist, grid):
+    """The ten sums over every n = 0 .. n_max in one unblocked pass: the
+    evaluation before the dead head of a bright distribution was skipped.
+    Each term is the same product, in the same order, as in
+    dynamics._block_sums, so where nothing is skipped the bits agree."""
+    p = dist.probs
+    n = np.arange(len(p), dtype=float)
+    gt = np.reshape(grid, (-1, 1))
+
+    def trig(k):
+        phase = gt * np.sqrt(np.maximum(n + k, 0.0))
+        return np.cos(phase), np.sin(phase)
+
+    (_, sm), (c0, s0), (c1, s1), (c2, s2) = (trig(k) for k in (-1, 0, 1, 2))
+    w1 = np.zeros_like(p)
+    w1[1:] = np.sqrt(p[1:] * p[:-1])
+    w2 = np.zeros_like(p)
+    w2[2:] = np.sqrt(p[2:] * p[:-2])
+    c1c1, s1s1 = c1 * c1, s1 * s1
+    pop, coh = p * s1s1, w1 * s0
+    terms = (
+        p * c1c1 * c1c1,
+        pop * c1c1,
+        pop * c2 * c2,
+        pop * c1 * c2,
+        pop * s2 * s2,
+        w2 * c1c1 * s0 * sm,
+        coh * c1c1 * c0,
+        coh * c1c1 * c1,
+        coh * s1s1 * c1,
+        coh * s1s1 * c2,
+    )
+    return np.array([np.sum(t, axis=-1) for t in terms])
+
+
+def compare_fields(mean, r):
+    """The squeezed (a) and coherent (b) fields of compare at this mean."""
+    return (
+        squeezed_distribution(SqueezedParams(solve_alpha_for_mean(mean, r), r)),
+        coherent_distribution(CoherentParams(math.sqrt(mean))),
+    )
 
 
 @pytest.fixture
@@ -88,13 +134,15 @@ class TestGammaCoefficients:
 
 class TestGrids:
     def test_grid_equals_stacked_scalar_calls_bitwise(self):
-        dist = squeezed_distribution(SqueezedParams(solve_alpha_for_mean(50.0, 1.0), 1.0))
-        # 26 angles per block at n_max 152: 100 angles span four blocks
+        # 26 angles per block at n_max 152; at mean 400 the 229 photon numbers
+        # kept of 506 give 17 per block.  100 angles span four and six blocks.
         grid = np.linspace(0.0, 50.0, 100)
-        batched = gamma_coefficients(dist, grid)
-        for name in batched._fields:
-            scalar = [getattr(gamma_coefficients(dist, gt), name) for gt in grid.tolist()]
-            assert np.array_equal(getattr(batched, name), scalar), name
+        for mean in (50.0, 400.0):
+            dist = squeezed_distribution(SqueezedParams(solve_alpha_for_mean(mean, 1.0), 1.0))
+            batched = gamma_coefficients(dist, grid)
+            for name in batched._fields:
+                scalar = [getattr(gamma_coefficients(dist, gt), name) for gt in grid.tolist()]
+                assert np.array_equal(getattr(batched, name), scalar), (mean, name)
 
     def test_row_does_not_depend_on_the_grid_it_sits_in(self):
         # the squeezed field of compare --mean 400 --r 1 (n_max 505)
@@ -130,6 +178,39 @@ class TestGrids:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+class TestDeadHead:
+    @pytest.mark.parametrize("field", [0, 1], ids=["squeezed", "coherent"])
+    def test_bright_field_skips_its_dead_head(self, monkeypatch, field):
+        dist = compare_fields(400.0, 1.0)[field]
+        kept = []
+        block_sums = dynamics._block_sums
+
+        def spy(gt, p, *rest):
+            kept.append(p)
+            return block_sums(gt, p, *rest)
+
+        monkeypatch.setattr(dynamics, "_block_sums", spy)
+        gamma_coefficients(dist, 1.0)
+        first = len(dist.probs) - len(kept[0])
+        assert np.array_equal(kept[0], dist.probs[first:])
+        assert first > 150
+        assert math.fsum(dist.probs[:first]) <= EPS * EPS
+
+    @pytest.mark.parametrize("field", [0, 1], ids=["squeezed", "coherent"])
+    def test_bright_sums_match_the_full_range(self, field):
+        # the grids of compare --mean 400 --r 1 --gt-end 50 --steps 128
+        dist = compare_fields(400.0, 1.0)[field]
+        grid = np.linspace(0.0, 50.0, 128)
+        sums = np.array(gamma_coefficients(dist, grid))
+        assert np.max(np.abs(sums - full_range_sums(dist, grid))) <= 1e-15
+
+    @pytest.mark.parametrize("field", [0, 1], ids=["squeezed", "coherent"])
+    def test_dim_sums_are_the_full_range_bits(self, field):
+        dist = compare_fields(0.3, 0.5)[field]
+        grid = np.linspace(0.0, 10.0, 512)
+        assert np.array_equal(np.array(gamma_coefficients(dist, grid)), full_range_sums(dist, grid))
 
 
 class TestPhasePrecision:

@@ -10,6 +10,7 @@ from cavent import (
     ParameterError,
     SqueezedParams,
     SweepConfig,
+    TripartiteState,
     assemble_rho,
     coherent_distribution,
     concurrence,
@@ -135,6 +136,34 @@ class TestTripartiteState:
         stack = tripartite_state(dist, np.array([0.0, 1.1, 2.0]))
         assert stack.amps.shape == (3, 2, 2, dist.n_max + 3)
         assert tripartite_state(dist, 1.1).amps.shape == (2, 2, dist.n_max + 3)
+
+    def test_copies_what_the_caller_can_still_write(self):
+        table = np.zeros((2, 2, 5))
+        view = table[:]
+        view.setflags(write=False)
+        for given in (table, view, table.tolist()):
+            state = TripartiteState(given)
+            assert not state.amps.flags.writeable
+            assert not np.shares_memory(state.amps, table)
+        assert table.flags.writeable
+        table[0, 0, 0] = 1.0
+        assert state.amps[0, 0, 0] == 0.0
+
+    def test_oracle_block_holds_its_amplitude_table_once(self):
+        # one block of oracle-check at mean 50, r 1: 26 angles over n_max 152
+        dist = reference_field(50.0, 1.0)
+        block = np.linspace(0.0, 50.0, 512)[_blocks(512, len(dist.probs))[0]]
+        tripartite_state(dist, block)
+        tracemalloc.start()
+        try:
+            state = tripartite_state(dist, block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not state.amps.flags.writeable
+        # the table takes 126 KiB; with a second copy of it the peak was
+        # 2.77 tables, now it is 2.26
+        assert peak < 2.5 * state.amps.nbytes
 
 
 class TestTraceOutField:
