@@ -15,9 +15,9 @@ of the traced-out matrix with `dynamics.assemble_rho` validates both paths
 end to end.
 
 Like `dynamics.gamma_coefficients`, the state is built for one angle or a
-whole grid of angles at once, and the partial trace reduces every angle of a
-stack with pairwise sums (see `trace_out_field`).  An angle's state and trace
-are the same bits whichever grid it sits in.
+whole grid of angles at once, and the partial trace is one BLAS product per
+angle of a stack (see `trace_out_field`).  An angle's state and trace are the
+same bits whichever grid it sits in.
 """
 
 from __future__ import annotations
@@ -95,16 +95,14 @@ def trace_out_field(state: TripartiteState) -> np.ndarray:
     """Partial trace over the photon index: rho_ij = sum_n v_i(n) v_j(n).
 
     One angle gives a (4, 4) matrix, a stack of G angles a (G, 4, 4) stack.
-    Rows/columns follow dynamics.BASIS.  Each entry is numpy's pairwise sum
-    along the contiguous photon axis, separately for each angle (no BLAS, so
-    the bits do not depend on the stack), written to both triangles, so the
-    output is exactly symmetric and positive semidefinite up to roundoff.  On
+    Rows/columns follow dynamics.BASIS.  rho = v v^T on the (4, n_max + 3)
+    view v of the amplitude table, which numpy evaluates as one BLAS dsyrk
+    call per angle and mirrors from one triangle, so the output is exactly
+    symmetric and positive semidefinite up to roundoff.  Each angle is its
+    own BLAS call, so its bits do not depend on the stack; they depend on the
+    BLAS build, as the concurrence's already depend on the LAPACK build.  On
     the reference grids (means 0.3, 50 and 400) the entries differ from
-    exactly rounded sums (math.fsum) of the same products by at most 3.3e-16.
+    exactly rounded sums (math.fsum) of the same products by at most 8.9e-16.
     """
     v = state.amps.reshape(state.amps.shape[:-3] + (4, -1))
-    rho = np.empty(v.shape[:-2] + (4, 4))
-    for i in range(4):
-        for j in range(i, 4):
-            rho[..., i, j] = rho[..., j, i] = np.sum(v[..., i, :] * v[..., j, :], axis=-1)
-    return rho
+    return v @ np.swapaxes(v, -1, -2)

@@ -37,11 +37,12 @@ def vacuum_gammas(gt):
     }
 
 
-def full_range_sums(dist, grid):
-    """The ten sums over every n = 0 .. n_max in one unblocked pass: the
-    evaluation before the dead head of a bright distribution was skipped.
-    Each term is the same product, in the same order, as in
-    dynamics._block_sums, so where nothing is skipped the bits agree."""
+def full_range_factors(dist, grid):
+    """The factors of the ten sums over every n = 0 .. n_max in one unblocked
+    pass: the evaluation before the dead head of a bright distribution was
+    skipped.  Each sum is a pair (x, y) of its last factor y and the product
+    x of the others, formed as in dynamics._block_sums, so where nothing is
+    skipped np.vecdot(x, y) gives the program's bits."""
     p = dist.probs
     n = np.arange(len(p), dtype=float)
     gt = np.reshape(grid, (-1, 1))
@@ -57,19 +58,24 @@ def full_range_sums(dist, grid):
     w2[2:] = np.sqrt(p[2:] * p[:-2])
     c1c1, s1s1 = c1 * c1, s1 * s1
     pop, coh = p * s1s1, w1 * s0
-    terms = (
-        p * c1c1 * c1c1,
-        pop * c1c1,
-        pop * c2 * c2,
-        pop * c1 * c2,
-        pop * s2 * s2,
-        w2 * c1c1 * s0 * sm,
-        coh * c1c1 * c0,
-        coh * c1c1 * c1,
-        coh * s1s1 * c1,
-        coh * s1s1 * c2,
+    pop_c2, coh_c1c1, coh_s1s1 = pop * c2, coh * c1c1, coh * s1s1
+    return (
+        (p * c1c1, c1c1),
+        (pop, c1c1),
+        (pop_c2, c2),
+        (pop_c2, c1),
+        (pop * s2, s2),
+        (w2 * c1c1 * s0, sm),
+        (coh_c1c1, c0),
+        (coh_c1c1, c1),
+        (coh_s1s1, c1),
+        (coh_s1s1, c2),
     )
-    return np.array([np.sum(t, axis=-1) for t in terms])
+
+
+def full_range_sums(dist, grid):
+    """The ten sums over every n = 0 .. n_max, one dot product per angle."""
+    return np.array([np.vecdot(x, y) for x, y in full_range_factors(dist, grid)])
 
 
 def compare_fields(mean, r):
@@ -211,6 +217,30 @@ class TestDeadHead:
         dist = compare_fields(0.3, 0.5)[field]
         grid = np.linspace(0.0, 10.0, 512)
         assert np.array_equal(np.array(gamma_coefficients(dist, grid)), full_range_sums(dist, grid))
+
+
+class TestSummationAccuracy:
+    @pytest.mark.parametrize(
+        "field,mean,r,gt_end,steps",
+        [
+            (0, 0.3, 0.5, 10.0, 512),
+            (0, 50.0, 1.0, 50.0, 512),
+            (0, 400.0, 1.0, 50.0, 128),
+            (1, 400.0, 1.0, 50.0, 128),
+        ],
+        ids=["squeezed-0.3", "squeezed-50", "squeezed-400", "coherent-400"],
+    )
+    def test_sums_are_within_1e_15_of_exactly_rounded_ones(self, field, mean, r, gt_end, steps):
+        # the fields of the reference sweeps, compares and oracle-check; the
+        # largest difference measured is 4.4e-16, at mean 0.3
+        dist = compare_fields(mean, r)[field]
+        grid = np.linspace(0.0, gt_end, steps)
+        sums = np.array(gamma_coefficients(dist, grid))
+        exact = [
+            [math.fsum(row) for row in (x * y).tolist()]
+            for x, y in full_range_factors(dist, grid)
+        ]
+        assert np.max(np.abs(sums - exact)) <= 1e-15
 
 
 class TestPhasePrecision:

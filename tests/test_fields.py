@@ -14,6 +14,7 @@ from cavent import (
     solve_alpha_for_mean,
     squeezed_distribution,
 )
+import cavent.fields as fields
 
 ULP_QUARTER = 2.0**-54  # spacing of doubles at 0.25
 
@@ -273,6 +274,38 @@ class TestTailContract:
                 continue
             assert dist.tail_mass <= tail_tol
             assert 1.0 - tail_tol <= math.fsum(dist.probs) <= 1.0
+
+
+class TestNormalizationSum:
+    # (mean, r) from dim to the brightest fields, the seed rescaling of
+    # mean >~ 800 at r = 1 included; r = 1 cannot reach mean 0.3
+    FIELDS = [
+        (mean, r)
+        for mean in (0.3, 50.0, 400.0, 805.0, 5000.0)
+        for r in (0.0, 0.5, 1.0)
+        if mean > 1.0 or r < 1.0
+    ]
+
+    @pytest.mark.parametrize("tail_tol", [1e-6, 1e-12, 1e-16, 1e-17])
+    @pytest.mark.parametrize("mean,r", FIELDS)
+    def test_ordered_sum_gives_the_natural_order_bits(self, monkeypatch, mean, r, tail_tol):
+        params = SqueezedParams(solve_alpha_for_mean(mean, r), r)
+
+        def build():
+            try:
+                return squeezed_distribution(params, tail_tol)
+            except NumericsError as err:
+                return str(err)
+
+        ordered = build()
+        # the sum as it was taken before: math.fsum over ascending n
+        monkeypatch.setattr(fields, "_exact_sum", math.fsum)
+        natural = build()
+        if isinstance(natural, str):
+            assert ordered == natural
+        else:
+            assert np.array_equal(ordered.probs, natural.probs)
+            assert ordered.tail_mass == natural.tail_mass
 
 
 class TestQuadratureVariances:

@@ -6,9 +6,9 @@ C = max(0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4)).  At that precision the
 square roots of tiny eigenvalues are exact to far below double roundoff.
 Evaluated on the program's own rho, the comparison measures the error of the
 double-precision concurrence route alone; evaluated on the Fock oracle's rho,
-whose entries are exactly rounded (math.fsum) sums over the field, it also
-measures the error of the pairwise gamma sums.  mpmath is a test-only
-dependency.
+whose entries are within 8.9e-16 of exactly rounded (math.fsum) sums over the
+field, it also measures the error of the gamma sums' dot products.  mpmath is
+a test-only dependency.
 """
 
 import numpy as np
