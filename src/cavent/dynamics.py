@@ -22,15 +22,27 @@ at most eps^2, so each entry moves by at most ~2 eps^2 (~1e-31) from the
 full-range sum.  At <n> = 400 this skips 277 of 506 squeezed (r = 1) and 188
 of 560 coherent photon numbers; a dim field (P_0 > eps^2) skips none.
 
+Each cosine and sine comes from one tangent of the half phase: with
+t = tan(gt sqrt(k) / 2), cos = (1 - t^2) / (1 + t^2) and
+sin = 2t / (1 + t^2).  On AVX-512 CPUs numpy evaluates float64 tan as a
+SIMD loop, several times faster than its cos and sin.  The derived factors
+are within 2.2e-16 of the exact cosine and sine of the double phase (libm's
+are within 5.6e-17), far below the phase's own rounding error
+eps*gt*sqrt(k) (see PHASE_TOL).  The Fock oracle keeps libm's cos and sin,
+so the two paths share no trig.
+
 A whole grid of angles is evaluated at once, in blocks of about 4096
 (angle, n) terms so that peak memory does not grow with the grid.  Each sum
 is one dot product along the contiguous n axis (np.vecdot) of its last
 factor with the product of the others, so the last multiply and the sum are
-one pass.  Every angle's dot product is its own BLAS call, so an angle's
-sums do not depend on the grid around it; their bits depend on the BLAS
-build, as the concurrence's already depend on the LAPACK build.  On the
-reference grids (means 0.3, 50 and 400) the entries differ from exactly
-rounded sums (math.fsum) of the same terms by at most 4.4e-16.
+one pass.  Every angle's dot product is its own BLAS call and every
+element's tangent depends on its phase alone, so an angle's sums do not
+depend on the grid around it.  Their bits depend on the BLAS build and on
+numpy's SIMD dispatch for tan, as the concurrence's already depend on the
+LAPACK build.  On the reference grids (means 0.3, 50 and 400) the entries
+differ from exactly rounded sums (math.fsum) of the same terms by at most
+4.4e-16, and from exactly rounded sums of terms built from libm's cos and
+sin by at most 7.8e-16.
 """
 
 from __future__ import annotations
@@ -49,7 +61,8 @@ _EPS = float(np.finfo(float).eps)
 
 # A phase gt*sqrt(n) carries an absolute rounding error of about
 # eps*gt*sqrt(n), and so do the trigonometric factors and the density matrix
-# built from them.  Angles whose largest phase error exceeds this bound, the
+# built from them; deriving the factors from tan(phase / 2) adds at most
+# 2.2e-16 per factor.  Angles whose largest phase error exceeds this bound, the
 # concurrence tolerance of the oracle check (cli.CONCURRENCE_CHECK_TOL), are
 # refused.
 PHASE_TOL = 1e-8
@@ -112,18 +125,33 @@ def _blocks(count, levels):
     return [slice(start, start + rows) for start in range(0, count, rows)]
 
 
+def _cos_sin(phase):
+    """cos and sin of an array of phases from one tangent of their halves.
+
+    With t = tan(phase / 2), cos = (1 - t^2) / (1 + t^2) and
+    sin = 2t / (1 + t^2), each within 2.2e-16 of the exact value (see the
+    module docstring).  Each element's bits depend on its phase alone.  The
+    sines overwrite `phase`.
+    """
+    t = np.tan(np.multiply(phase, 0.5, out=phase), out=phase)
+    den = np.square(t)
+    cos = np.subtract(1.0, den)
+    den += 1.0
+    cos /= den
+    t *= 2.0
+    t /= den
+    return cos, t
+
+
 def _block_sums(gt, p, w1, w2, roots):
     """The ten sums for a (rows, 1) block of angles, each a dot product along n.
 
     p, w1 and w2 hold the kept photon numbers n = first .. n_max, and
     roots[j] = sqrt(first + j - 1), with sqrt(-1) read as 0, so the windows
     of length len(p) starting at j = 0, 1, 2, 3 hold the phases of n - 1, n,
-    n + 1 and n + 2 photons: one cosine and one sine pass serve all four.
+    n + 1 and n + 2 photons: one tangent pass serves all four.
     """
-    # the sines overwrite the phases, which are not needed after them
-    phase = gt * roots
-    cos = np.cos(phase)
-    sin = np.sin(phase, out=phase)
+    cos, sin = _cos_sin(gt * roots)
     levels = len(p)
     c0, s0 = cos[:, 1:levels + 1], sin[:, 1:levels + 1]
     c1, s1 = cos[:, 2:levels + 2], sin[:, 2:levels + 2]
@@ -159,7 +187,9 @@ def gamma_coefficients(dist: PhotonDistribution, gt: float | np.ndarray) -> Gamm
 
     gt is one Rabi angle, giving float fields, or a 1-D array of G angles,
     giving (G,) array fields.  Each angle's sums are the same bits whichever
-    grid it sits in.  The sums start at the first photon number that can
+    grid it sits in.  The trig factors come from one tangent of each half
+    phase, within 2.2e-16 of the exact cosine and sine (see the module
+    docstring).  The sums start at the first photon number that can
     reach a result bit, L = max(0, c - 2) with c the first n whose cumulative
     mass exceeds eps^2, which moves each of them by at most ~2 eps^2 from the
     full-range sum (see the module docstring).  Raises ParameterError for a

@@ -42,10 +42,18 @@ class EntanglementResult(NamedTuple):
     eof: float
 
 
+def _check_shape(rho):
+    if rho.ndim < 2 or rho.shape[-2:] != (4, 4):
+        raise ParameterError(f"expected a 4x4 matrix or a stack of them, got shape {rho.shape}")
+
+
 def spin_flipped(rho: np.ndarray) -> np.ndarray:
     """Y rho Y for real symmetric rho: entries s_i s_j rho[3-i, 3-j] with
-    signs s = (-1, 1, 1, -1)."""
-    return np.outer(_FLIP_SIGNS, _FLIP_SIGNS) * rho[::-1, ::-1]
+    signs s = (-1, 1, 1, -1).  rho is one 4x4 matrix or a (..., 4, 4) stack,
+    each matrix flipped alone; other shapes raise ParameterError."""
+    rho = np.asarray(rho, dtype=float)
+    _check_shape(rho)
+    return np.outer(_FLIP_SIGNS, _FLIP_SIGNS) * rho[..., ::-1, ::-1]
 
 
 def _clamped_spectrum(values):
@@ -71,8 +79,7 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
     entry or an eigenvalue below -EIG_HARD_TOL raises NumericsError.
     """
     rho = np.asarray(rho, dtype=float)
-    if rho.ndim < 2 or rho.shape[-2:] != (4, 4):
-        raise ParameterError(f"expected a 4x4 matrix or a stack of them, got shape {rho.shape}")
+    _check_shape(rho)
     if not np.all(np.isfinite(rho)):
         raise NumericsError("matrix entry is not finite; the input was not a valid density matrix")
     if np.any(np.abs(rho - np.swapaxes(rho, -1, -2)) > _SYMMETRY_TOL):

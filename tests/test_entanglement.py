@@ -48,6 +48,19 @@ class TestSpinFlipped:
         rho = make_random_density(np.random.default_rng(7))
         assert np.array_equal(spin_flipped(spin_flipped(rho)), rho)
 
+    def test_stack_flips_each_matrix_alone(self, make_random_density):
+        rng = np.random.default_rng(11)
+        stack = np.array([make_random_density(rng) for _ in range(3)])
+        flipped = spin_flipped(stack)
+        assert flipped.shape == (3, 4, 4)
+        for rho, each in zip(stack, flipped):
+            assert np.array_equal(each, spin_flipped(rho))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4,), (2, 4, 3)])
+    def test_rejects_a_non_4x4_shape(self, shape):
+        with pytest.raises(ParameterError):
+            spin_flipped(np.zeros(shape))
+
 
 class TestConcurrence:
     def test_product_state_is_separable(self, product_state):

@@ -7,8 +7,9 @@ square roots of tiny eigenvalues are exact to far below double roundoff.
 Evaluated on the program's own rho, the comparison measures the error of the
 double-precision concurrence route alone; evaluated on the Fock oracle's rho,
 whose entries are within 8.9e-16 of exactly rounded (math.fsum) sums over the
-field, it also measures the error of the gamma sums' dot products.  mpmath is
-a test-only dependency.
+field and whose trig factors are libm's cos and sin, it also measures the
+error of the gamma sums' dot products and of their tangent-derived trig
+factors.  mpmath is a test-only dependency.
 """
 
 import numpy as np
@@ -32,12 +33,15 @@ mpmath = pytest.importorskip("mpmath")
 REFERENCE_TOL = 1e-14
 
 # (field, mean, r, gt_end, steps): the compare --mean 400 --r 1 --gt-end 50
-# --steps 128 fields and the oracle-check --field squeezed --mean 50 --r 1
-# --gt-end 50 --steps 512 field
+# --steps 128 fields, the oracle-check --field squeezed --mean 50 --r 1
+# --gt-end 50 --steps 512 field and the compare --mean 0.3 --r 0.5 --steps 512
+# fields
 CONFIGS = {
     "coherent-400": ("coherent", 400.0, 0.0, 50.0, 128),
     "squeezed-400": ("squeezed", 400.0, 1.0, 50.0, 128),
     "squeezed-50": ("squeezed", 50.0, 1.0, 50.0, 512),
+    "coherent-0.3": ("coherent", 0.3, 0.0, 10.0, 512),
+    "squeezed-0.3": ("squeezed", 0.3, 0.5, 10.0, 512),
 }
 
 
@@ -72,6 +76,18 @@ def reference_concurrence(rho):
 def test_worst_points_of_the_square_root_route(name, index):
     dist, grid = _grid(name)
     rho = assemble_rho(gamma_coefficients(dist, float(grid[index])))
+    assert abs(concurrence(rho) - reference_concurrence(rho)) < REFERENCE_TOL
+
+
+# A known defect (the FOUND line on the coherent mean-0.3 field in
+# CHANGES.md): at gt ~ 4.7554, where C ~ 0.043 and rho has eigenvalues down to
+# 1e-5, the double-precision concurrence step alone errs by 2.6e-14.
+@pytest.mark.xfail(
+    strict=True, reason="the concurrence step loses digits on this rho (CHANGES.md FOUND)"
+)
+def test_worst_point_of_the_dim_coherent_field():
+    dist, grid = _grid("coherent-0.3")
+    rho = assemble_rho(gamma_coefficients(dist, float(grid[243])))
     assert abs(concurrence(rho) - reference_concurrence(rho)) < REFERENCE_TOL
 
 
