@@ -34,7 +34,7 @@ from .cli import (
     CompareResult,
     OracleReport,
     SweepConfig,
-    SweepRow,
+    SweepResult,
     run_compare,
     run_oracle_check,
     run_sweep,
@@ -56,7 +56,7 @@ __all__ = [
     "QuadratureVariances",
     "SqueezedParams",
     "SweepConfig",
-    "SweepRow",
+    "SweepResult",
     "TripartiteState",
     "assemble_rho",
     "binary_entropy",

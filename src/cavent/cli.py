@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import io
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -48,7 +49,8 @@ class SweepConfig:
     Exactly one of ``alpha`` / ``target_mean`` must be given; ``r`` is only
     meaningful for the squeezed field.  Construction checks what only the
     configuration knows: the field kind, the amplitude inputs, r with the
-    coherent field, and finite, ordered grid ends with at least two steps.
+    coherent field, finite, ordered grid ends, and an integer number of
+    steps, at least two (a bool is not an integer here).
     Every other value is checked where it is consumed, when the sweep runs:
     alpha and r by `SqueezedParams`, target_mean and r by
     `solve_alpha_for_mean`, tail_tol by the photon distribution, and the
@@ -79,6 +81,8 @@ class SweepConfig:
             raise ParameterError(
                 f"the grid needs finite gt_start < gt_end, got [{self.gt_start}, {self.gt_end}]"
             )
+        if isinstance(self.gt_steps, bool) or not isinstance(self.gt_steps, numbers.Integral):
+            raise ParameterError(f"gt_steps must be an integer, got {self.gt_steps!r}")
         if self.gt_steps < 2:
             raise ParameterError(f"gt_steps must be >= 2, got {self.gt_steps}")
 
@@ -97,15 +101,26 @@ class SweepConfig:
         return np.linspace(self.gt_start, self.gt_end, self.gt_steps)
 
 
-class SweepRow(NamedTuple):
-    gt: float
-    concurrence: float
-    eof: float
+class SweepResult(NamedTuple):
+    """A sweep as columns: three (G,) float arrays, ascending in gt.
+
+    concurrence comes from `concurrence` (a pivoted Cholesky factor of each
+    density matrix, checked against it, and one LAPACK eigensolve per
+    matrix), eof from `eof_from_concurrence` over the whole column.
+    """
+
+    gt: np.ndarray
+    concurrence: np.ndarray
+    eof: np.ndarray
 
 
 @dataclass(frozen=True)
 class CompareResult:
-    rows: list  # (gt, concurrence_a, eof_a, concurrence_b, eof_b)
+    """Two sweeps over one shared grid, a the squeezed and b the coherent
+    field of `compare`, with the first maximum of each eof column."""
+
+    a: SweepResult
+    b: SweepResult
     peak_eof_a: float
     peak_gt_a: float
     peak_eof_b: float
@@ -126,15 +141,12 @@ class OracleReport:
         )
 
 
-def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
+def run_sweep(cfg: SweepConfig) -> SweepResult:
     """Entanglement of the emerging atom pair at every grid angle, ascending in gt."""
     dist = cfg.distribution()
     grid = cfg.gt_grid()
     values = concurrence(assemble_rho(gamma_coefficients(dist, grid)))
-    return [
-        SweepRow(gt, c, eof_from_concurrence(c))
-        for gt, c in zip(grid.tolist(), values.tolist())
-    ]
+    return SweepResult(grid, values, eof_from_concurrence(values))
 
 
 def run_compare(cfg_a: SweepConfig, cfg_b: SweepConfig) -> CompareResult:
@@ -145,16 +157,12 @@ def run_compare(cfg_a: SweepConfig, cfg_b: SweepConfig) -> CompareResult:
         cfg_b.gt_steps,
     ):
         raise ParameterError("compare requires identical gt grids for both configs")
-    rows_a = run_sweep(cfg_a)
-    rows_b = run_sweep(cfg_b)
-    merged = [
-        (a.gt, a.concurrence, a.eof, b.concurrence, b.eof)
-        for a, b in zip(rows_a, rows_b)
-    ]
-    # max keeps the first of equal peaks
-    peak_a = max(rows_a, key=lambda row: row.eof)
-    peak_b = max(rows_b, key=lambda row: row.eof)
-    return CompareResult(merged, peak_a.eof, peak_a.gt, peak_b.eof, peak_b.gt)
+    a = run_sweep(cfg_a)
+    b = run_sweep(cfg_b)
+    # argmax keeps the first of equal peaks
+    i = int(np.argmax(a.eof))
+    j = int(np.argmax(b.eof))
+    return CompareResult(a, b, float(a.eof[i]), float(a.gt[i]), float(b.eof[j]), float(b.gt[j]))
 
 
 def run_oracle_check(cfg: SweepConfig) -> OracleReport:
@@ -181,18 +189,24 @@ def _fmt(x) -> str:
     return format(float(x), ".12g")
 
 
-def _write_rows(header, rows, stream):
-    stream.write(header + "\n")
-    for row in rows:
-        stream.write(",".join(map(_fmt, row)) + "\n")
+def _write_rows(header, columns, stream):
+    """One CSV line per row of the (G,) columns, each cell formatted as _fmt does."""
+    table = np.column_stack(columns)
+    line = ",".join(["%.12g"] * table.shape[1]) + "\n"
+    stream.write(header + "\n" + line * len(table) % tuple(table.ravel().tolist()))
 
 
-def write_sweep_csv(rows, stream):
-    _write_rows("gt,concurrence,eof", rows, stream)
+def write_sweep_csv(result: SweepResult, stream):
+    _write_rows("gt,concurrence,eof", result, stream)
 
 
 def write_compare_csv(result: CompareResult, stream):
-    _write_rows("gt,concurrence_a,eof_a,concurrence_b,eof_b", result.rows, stream)
+    a, b = result.a, result.b
+    _write_rows(
+        "gt,concurrence_a,eof_a,concurrence_b,eof_b",
+        (a.gt, a.concurrence, a.eof, b.concurrence, b.eof),
+        stream,
+    )
     stream.write(f"# peak_eof_a={_fmt(result.peak_eof_a)}\n")
     stream.write(f"# peak_eof_b={_fmt(result.peak_eof_b)}\n")
 

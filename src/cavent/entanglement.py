@@ -4,18 +4,38 @@ For a real symmetric density matrix rho the spin-flipped state is
 Y rho Y with Y = sigma_y x sigma_y = antidiag(-1, 1, 1, -1), i.e. a signed
 anti-transpose.  The concurrence needs the square roots of the eigenvalues of
 the non-symmetric product rho * (Y rho Y).  They come from the factored route
-of Wootters, PRL 80, 2245 (1998): with rho = V D V^T and W = V sqrt(D), so
-that rho = W W^T, the real symmetric matrix tau = W^T Y W has
-tau^2 = W^T (Y rho Y) W, which shares its spectrum with rho * (Y rho Y).  The
-wanted square roots are therefore the magnitudes of the eigenvalues of tau,
-and no square root of a small product eigenvalue is ever taken.  Both
-eigenproblems go to LAPACK through numpy, one stacked call each for a whole
-(..., 4, 4) stack of matrices.  Tiny negative eigenvalues of rho
-(roundoff) are clamped to zero; anything below -1e-8, or not finite, means
-the input was not a density matrix and is rejected.
+of Wootters, PRL 80, 2245 (1998): for any W with rho = W W^T, the real
+symmetric matrix tau = W^T Y W has tau^2 = W^T (Y rho Y) W, which shares its
+spectrum with rho * (Y rho Y).  The wanted square roots are therefore the
+magnitudes of the eigenvalues of tau, and no square root of a small product
+eigenvalue is ever taken.
 
-E_F = h((1 + sqrt(1 - C^2)) / 2) with h the binary entropy; both outputs are
-clamped to [0, 1].
+W is a diagonally pivoted Cholesky factor of rho: four outer-product
+elimination steps, each taking the largest remaining diagonal entry as its
+pivot, vectorized over a whole (..., 4, 4) stack.  It needs no eigenvector of
+rho, so a small eigenvalue of rho, which an eigensolver returns with an
+absolute error of ~eps, never has its square root taken either.  The
+factorization of a matrix stops at its first pivot at or below
+4 * 2^-53 * max diag(rho), the default tolerance of LAPACK's dpstrf, and the
+remaining columns of W are zero: such a pivot is roundoff in a rank-deficient
+rho (a pure or rank-2 state).  Each factor is then checked: the remainder
+rho - W W^T that the four steps leave must lie within
+16 * 2^-52 * max diag(rho), which a positive semidefinite rho meets.  A
+tolerated negative eigenvalue (see below) beyond roundoff breaks that, and
+there a small pivot of an indefinite remainder can meet a larger
+off-diagonal entry and blow its column up; such a matrix takes
+W = V sqrt(max(D, 0)) from LAPACK's eigh instead, its negative eigenvalues
+clamped to zero.  Every other matrix takes one LAPACK eigensolve, of tau.
+
+A density matrix must be positive semidefinite.  Eigenvalues down to -1e-8
+(EIG_HARD_TOL) are roundoff and tolerated; the stack is refused when the
+LAPACK Cholesky factorization of rho + 1e-8 * I fails for any matrix, which
+puts the bound at -1e-8 up to roundoff.  Only then is the spectrum of rho
+computed, to name the offending eigenvalue.  A non-finite entry is refused too.
+
+E_F = h((1 + sqrt(1 - C^2)) / 2) with h the binary entropy; both take a float
+(giving a float) or an array (giving an array), and their outputs are clamped
+to [0, 1].
 """
 
 from __future__ import annotations
@@ -31,8 +51,19 @@ _LN2 = math.log(2.0)
 _SYMMETRY_TOL = 1e-12
 
 # eigenvalues of a nominally PSD rho between -EIG_HARD_TOL and 0 are roundoff
-# and clamped to zero; lower ones are rejected
+# and clamped to zero (such a rho fails the factor check and goes through eigh);
+# lower ones are rejected, the bound holding up to roundoff: the check is a
+# Cholesky factorization of rho + EIG_HARD_TOL * I
 EIG_HARD_TOL = 1e-8
+_SHIFT = EIG_HARD_TOL * np.eye(4)
+
+# dpstrf's default stopping rule: a pivot at or below n * dlamch('Epsilon') *
+# max diag(rho), with n = 4 and dlamch('Epsilon') = 2^-53, ends the factor
+_PIVOT_TOL = 4 * 2.0**-53
+
+# a factor is kept when its remainder rho - W W^T lies within this times
+# max diag(rho)
+_FACTOR_TOL = 16 * 2.0**-52
 
 _FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
 
@@ -40,6 +71,10 @@ _FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
 class EntanglementResult(NamedTuple):
     concurrence: float
     eof: float
+
+
+def _float_or_array(x):
+    return float(x) if x.ndim == 0 else x
 
 
 def _check_shape(rho):
@@ -56,27 +91,70 @@ def spin_flipped(rho: np.ndarray) -> np.ndarray:
     return np.outer(_FLIP_SIGNS, _FLIP_SIGNS) * rho[..., ::-1, ::-1]
 
 
-def _clamped_spectrum(values):
-    bad = ~(values >= -EIG_HARD_TOL)
-    if np.any(bad):
-        raise NumericsError(
-            f"eigenvalue {float(values[bad][0])} is below -{EIG_HARD_TOL} or not finite; "
-            "the input was not a valid density matrix"
-        )
-    return np.where(values < 0.0, 0.0, values)
+def _pivoted_factor(stack):
+    """W with W W^T = rho for each matrix of an (N, 4, 4) positive semidefinite
+    stack, by diagonally pivoted outer-product Cholesky (see the module
+    docstring for the stopping rule), as a C-contiguous (N, 4, 4) array, and
+    the largest magnitude left in each remainder rho - W W^T after the four
+    steps, an (N,) array.  Column k of W is the k-th elimination step's
+    column; the columns are not permuted back, since any W with W W^T = rho
+    serves the concurrence."""
+    # the matrices run along the last axis, so that each step is a few
+    # passes over contiguous (4, N) and (4, 4, N) arrays; the transposed copy
+    # is also what keeps the in-place elimination off the caller's array
+    r = np.transpose(stack, (1, 2, 0)).copy()
+    n = r.shape[-1]
+    every = np.arange(n)
+    w = np.zeros_like(r)
+    tol = _PIVOT_TOL * np.max(np.diagonal(r), axis=-1)
+    open_ = np.ones((4, n), dtype=bool)  # indices not yet pivoted on
+    alive = np.ones(n, dtype=bool)  # factorizations not yet stopped
+    for k in range(4):
+        diag = np.where(open_, np.diagonal(r).T, -np.inf)
+        p = np.argmax(diag, axis=0)
+        pivot = diag[p, every]
+        alive &= pivot > tol
+        root = np.sqrt(np.where(alive, pivot, 1.0))
+        col = np.where(open_ & alive, r[:, p, every] / root, 0.0)
+        col[p, every] = np.where(alive, root, 0.0)
+        open_[p, every] = False
+        w[:, k] = col
+        r -= col[:, None] * col[None, :]
+    return np.ascontiguousarray(np.moveaxis(w, -1, 0)), np.max(np.abs(r), axis=(0, 1))
+
+
+def _factor(stack):
+    """W with W W^T = rho for each matrix of an (N, 4, 4) stack whose
+    eigenvalues are at least -EIG_HARD_TOL: the pivoted Cholesky factor where
+    its remainder is within _FACTOR_TOL * max diag(rho), else V sqrt(max(D, 0))
+    from eigh (see the module docstring)."""
+    w, left = _pivoted_factor(stack)
+    miss = left > _FACTOR_TOL * np.max(np.diagonal(stack, axis1=-2, axis2=-1), axis=-1)
+    if np.any(miss):
+        values, vectors = np.linalg.eigh(stack[miss])
+        w[miss] = vectors * np.sqrt(np.where(values < 0.0, 0.0, values))[:, None, :]
+    return w
 
 
 def concurrence(rho: np.ndarray) -> float | np.ndarray:
     """Wootters concurrence of a real symmetric two-qubit density matrix.
 
-    Factors rho = W W^T and takes s_1 >= ... >= s_4, the eigenvalue
-    magnitudes of W^T Y W (the square roots of the eigenvalues of
-    rho * spin_flipped(rho)); the result is s_1 - s_2 - s_3 - s_4 clamped to
-    [0, 1].  rho is one 4x4 matrix, giving a float, or a (..., 4, 4) stack,
-    giving an array of the leading shape; a matrix is computed the same way
-    alone or in a stack.  An input whose last two axes are not 4x4, or with
-    a matrix not symmetric within 1e-12, raises ParameterError; a non-finite
-    entry or an eigenvalue below -EIG_HARD_TOL raises NumericsError.
+    Factors rho = W W^T by diagonally pivoted Cholesky, stopping at the first
+    pivot at or below 4 * 2^-53 * max diag(rho) (LAPACK dpstrf's default);
+    a matrix whose factor leaves a remainder rho - W W^T beyond
+    16 * 2^-52 * max diag(rho) (only an indefinite one) takes
+    W = V sqrt(max(D, 0)) from eigh instead.
+    It takes s_1 >= ... >= s_4, the eigenvalue magnitudes of W^T Y W (the
+    square roots of the eigenvalues of rho * spin_flipped(rho)), from one
+    LAPACK eigensolve per matrix; the result is s_1 - s_2 - s_3 - s_4
+    clamped to [0, 1].  rho is one 4x4 matrix, giving a float, or a
+    (..., 4, 4) stack, giving an array of the leading shape; a matrix is
+    computed the same way alone or in a stack, and the input is not
+    modified.  An input whose last two axes are not 4x4, or with a matrix
+    not symmetric within 1e-12, raises ParameterError; a non-finite entry,
+    or a matrix whose Cholesky factorization of rho + EIG_HARD_TOL * I fails
+    (an eigenvalue below -EIG_HARD_TOL, up to roundoff), raises
+    NumericsError naming the lowest eigenvalue.
     """
     rho = np.asarray(rho, dtype=float)
     _check_shape(rho)
@@ -85,37 +163,60 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
     if np.any(np.abs(rho - np.swapaxes(rho, -1, -2)) > _SYMMETRY_TOL):
         raise ParameterError("matrix is not symmetric within 1e-12")
     stack = rho.reshape(-1, 4, 4)
-    values, vectors = np.linalg.eigh(stack)
-    w = vectors * np.sqrt(_clamped_spectrum(values))[:, None, :]
+    try:
+        np.linalg.cholesky(stack + _SHIFT)
+    except np.linalg.LinAlgError:
+        lowest = float(np.min(np.linalg.eigvalsh(stack)))
+        raise NumericsError(
+            f"eigenvalue {lowest} is below -{EIG_HARD_TOL} (up to roundoff); "
+            "the input was not a valid density matrix"
+        ) from None
+    w = _factor(stack)
     tau = np.swapaxes(w, -1, -2) @ (_FLIP_SIGNS[:, None] * w[:, ::-1])
     s = np.sort(np.abs(np.linalg.eigvalsh(tau)), axis=-1)
-    c = np.clip(s[:, 3] - s[:, 2] - s[:, 1] - s[:, 0], 0.0, 1.0).reshape(rho.shape[:-2])
-    return float(c) if c.ndim == 0 else c
+    c = np.clip(s[:, 3] - s[:, 2] - s[:, 1] - s[:, 0], 0.0, 1.0)
+    return _float_or_array(c.reshape(rho.shape[:-2]))
 
 
 def _unit_interval(what, x):
-    """x clamped to [0, 1]; ParameterError unless finite and within 1e-12 of it."""
-    if not math.isfinite(x) or x < -1e-12 or x > 1.0 + 1e-12:
-        raise ParameterError(f"{what} must lie in [0, 1], got {x!r}")
-    return min(1.0, max(0.0, x))
+    """x as an array clamped to [0, 1]; ParameterError unless every entry is
+    finite and within 1e-12 of it."""
+    x = np.asarray(x, dtype=float)
+    bad = ~((x >= -1e-12) & (x <= 1.0 + 1e-12))
+    if np.any(bad):
+        raise ParameterError(f"{what} must lie in [0, 1], got {float(x[bad][0])!r}")
+    return np.clip(x, 0.0, 1.0)
 
 
-def binary_entropy(x: float) -> float:
-    """h(x) = -x log2 x - (1-x) log2 (1-x), with the 0 log 0 = 0 convention."""
-    x = _unit_interval("binary_entropy argument", x)
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return -(x * math.log(x) + (1.0 - x) * math.log(1.0 - x)) / _LN2
+def _entropy(x):
+    """h(x) for x in [0, 1], an array; 0 log 0 = 0 without taking log 0."""
+    x_log_x = x * np.log(np.where(x > 0.0, x, 1.0))
+    y = 1.0 - x
+    y_log_y = y * np.log(np.where(y > 0.0, y, 1.0))
+    # 0 - s rather than -s, so that h(0) = h(1) = +0.0
+    return 0.0 - (x_log_x + y_log_y) / _LN2
 
 
-def eof_from_concurrence(c: float) -> float:
+def binary_entropy(x: float | np.ndarray) -> float | np.ndarray:
+    """h(x) = -x log2 x - (1-x) log2 (1-x), with the 0 log 0 = 0 convention.
+
+    x is a float, giving a float, or an array, giving an array of its shape.
+    An x within 1e-12 of [0, 1] is clamped into it; any other x, or a
+    non-finite one, raises ParameterError.
+    """
+    return _float_or_array(_entropy(_unit_interval("binary_entropy argument", x)))
+
+
+def eof_from_concurrence(c: float | np.ndarray) -> float | np.ndarray:
     """Entanglement of formation h((1 + sqrt(1 - C^2)) / 2), clamped to [0, 1].
 
-    A C within 1e-12 of [0, 1] is clamped into it; any other C raises ParameterError.
+    c is a float, giving a float, or an array, giving an array of its shape.
+    A C within 1e-12 of [0, 1] is clamped into it; any other C, or a
+    non-finite one, raises ParameterError.
     """
     c = _unit_interval("concurrence", c)
-    value = binary_entropy(0.5 * (1.0 + math.sqrt(1.0 - c * c)))
-    return min(1.0, max(0.0, value))
+    value = _entropy(0.5 * (1.0 + np.sqrt(1.0 - c * c)))
+    return _float_or_array(np.clip(value, 0.0, 1.0))
 
 
 def entanglement_of_formation(rho: np.ndarray) -> EntanglementResult:

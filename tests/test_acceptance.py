@@ -217,11 +217,10 @@ def test_criterion_8_high_mean_stability_and_revival():
         "squeezed", target_mean=50.0, r=1.0,
         gt_start=0.0, gt_end=50.0, gt_steps=512, tail_tol=tail_tol,
     )
-    rows = run_sweep(cfg)
+    result = run_sweep(cfg)
     finite = all(
-        math.isfinite(row.concurrence) and math.isfinite(row.eof)
-        and 0.0 <= row.concurrence <= 1.0 and 0.0 <= row.eof <= 1.0
-        for row in rows
+        math.isfinite(c) and math.isfinite(eof) and 0.0 <= c <= 1.0 and 0.0 <= eof <= 1.0
+        for c, eof in zip(result.concurrence.tolist(), result.eof.tolist())
     )
 
     dist = cfg.distribution()
@@ -235,7 +234,7 @@ def test_criterion_8_high_mean_stability_and_revival():
         values = np.linalg.eigvalsh(rho)
         worst_eig = min(worst_eig, float(values.min()))
 
-    eofs = [row.eof for row in rows]
+    eofs = result.eof.tolist()
     maxima = sum(
         1 for i in range(1, len(eofs) - 1) if eofs[i] > eofs[i - 1] and eofs[i] > eofs[i + 1]
     )

@@ -4,7 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from cavent import ParameterError, SweepConfig, run_compare, run_oracle_check, run_sweep
+from cavent import (
+    ParameterError,
+    SweepConfig,
+    SweepResult,
+    eof_from_concurrence,
+    run_compare,
+    run_oracle_check,
+    run_sweep,
+)
 from cavent.cli import (
     OracleReport,
     format_oracle_report,
@@ -48,6 +56,16 @@ class TestSweepConfig:
         with pytest.raises(ParameterError):
             run_sweep(small_cfg(gt_start=-1.0))
 
+    @pytest.mark.parametrize("steps", [512.0, 17.5, True, "17", None])
+    def test_rejects_a_non_integer_step_count(self, steps):
+        # np.linspace would fail on these with a bare TypeError when the sweep runs
+        with pytest.raises(ParameterError, match="gt_steps must be an integer"):
+            small_cfg(gt_steps=steps)
+
+    def test_accepts_a_numpy_integer_step_count(self):
+        cfg = small_cfg(gt_steps=np.int64(9))
+        assert run_sweep(cfg).gt.shape == (9,)
+
     def test_rejects_bad_tail_tol(self):
         # checked by the field layer when the sweep runs
         with pytest.raises(ParameterError):
@@ -75,37 +93,56 @@ class TestSweepConfig:
 
 class TestRunSweep:
     def test_vacuum_zero_angle_row(self):
-        rows = run_sweep(small_cfg(target_mean=None, alpha=0.0, gt_steps=9))
-        assert rows[0] == (0.0, 0.0, 0.0)
+        result = run_sweep(small_cfg(target_mean=None, alpha=0.0, gt_steps=9))
+        assert (result.gt[0], result.concurrence[0], result.eof[0]) == (0.0, 0.0, 0.0)
         # the photon emitted by the first atom entangles the pair at gt > 0
-        assert max(row.eof for row in rows) > 0.0
+        assert result.eof.max() > 0.0
 
     def test_rows_strictly_ascending_and_bounded(self):
-        rows = run_sweep(small_cfg(gt_steps=33))
-        gts = [row.gt for row in rows]
-        assert all(b > a for a, b in zip(gts, gts[1:]))
-        assert gts[0] == 0.0 and gts[-1] == 10.0
-        for row in rows:
-            assert 0.0 <= row.concurrence <= 1.0
-            assert 0.0 <= row.eof <= 1.0
+        result = run_sweep(small_cfg(gt_steps=33))
+        assert np.all(np.diff(result.gt) > 0.0)
+        assert result.gt[0] == 0.0 and result.gt[-1] == 10.0
+        assert np.all((0.0 <= result.concurrence) & (result.concurrence <= 1.0))
+        assert np.all((0.0 <= result.eof) & (result.eof <= 1.0))
 
     def test_low_mean_peak_is_nonzero(self):
-        rows = run_sweep(small_cfg(gt_steps=129))
-        assert max(row.eof for row in rows) > 0.0
+        assert run_sweep(small_cfg(gt_steps=129)).eof.max() > 0.0
 
     def test_deterministic(self):
         cfg = small_cfg(target_mean=None, alpha=1.1, gt_steps=17)
-        assert run_sweep(cfg) == run_sweep(cfg)
+        first, second = run_sweep(cfg), run_sweep(cfg)
+        assert all(np.array_equal(x, y) for x, y in zip(first, second))
+
+    def test_columns_of_the_grid_length(self):
+        result = run_sweep(small_cfg(gt_steps=17))
+        assert isinstance(result, SweepResult)
+        assert [column.shape for column in result] == [(17,)] * 3
+        assert np.array_equal(result.gt, small_cfg(gt_steps=17).gt_grid())
+
+    def test_eof_column_equals_per_value_calls(self):
+        result = run_sweep(small_cfg(gt_steps=33))
+        assert np.array_equal(result.eof, [eof_from_concurrence(c) for c in result.concurrence])
 
 
 class TestRunCompare:
     def test_config_against_itself(self):
         cfg = small_cfg(gt_steps=17)
         result = run_compare(cfg, cfg)
-        for _, ca, ea, cb, eb in result.rows:
-            assert ca == cb and ea == eb
+        assert np.array_equal(result.a.concurrence, result.b.concurrence)
+        assert np.array_equal(result.a.eof, result.b.eof)
         assert result.peak_eof_a == result.peak_eof_b
         assert result.peak_gt_a == result.peak_gt_b
+
+    def test_peak_is_the_first_maximum(self):
+        cfg = small_cfg(gt_steps=65)
+        result = run_compare(cfg, SweepConfig("coherent", target_mean=1.0, gt_end=10.0, gt_steps=65))
+        for column, peak, peak_gt in [
+            (result.a, result.peak_eof_a, result.peak_gt_a),
+            (result.b, result.peak_eof_b, result.peak_gt_b),
+        ]:
+            first = next(i for i, v in enumerate(column.eof) if v == column.eof.max())
+            assert (peak, peak_gt) == (column.eof[first], column.gt[first])
+            assert type(peak) is float and type(peak_gt) is float
 
     def test_grid_mismatch_rejected(self):
         with pytest.raises(ParameterError):
@@ -122,10 +159,10 @@ class TestRunCompare:
     def test_peak_entanglement_regimes(self):
         # low mean: the peak falls as the mean grows; high mean: it rises slightly
         def peak(mean, gt_end):
-            rows = run_sweep(
+            result = run_sweep(
                 SweepConfig("coherent", target_mean=mean, gt_end=gt_end, gt_steps=257)
             )
-            return max(row.eof for row in rows)
+            return result.eof.max()
 
         low = [peak(mean, 10.0) for mean in (0.1, 0.3, 1.0)]
         assert low[0] > low[1] > low[2]
@@ -138,10 +175,9 @@ class TestRunCompare:
             SweepConfig("squeezed", target_mean=50.0, r=1.0, **shared),
             SweepConfig("coherent", target_mean=50.0, **shared),
         )
-        assert len(result.rows) == 65
-        for gt, ca, ea, cb, eb in result.rows:
-            for value in (ca, ea, cb, eb):
-                assert math.isfinite(value) and 0.0 <= value <= 1.0
+        for column in (result.a.concurrence, result.a.eof, result.b.concurrence, result.b.eof):
+            assert column.shape == (65,)
+            assert np.all(np.isfinite(column) & (0.0 <= column) & (column <= 1.0))
         assert result.peak_eof_a > 0.0 and result.peak_eof_b > 0.0
 
 
@@ -192,9 +228,9 @@ class TestRunOracleCheck:
 
 class TestCsvFormat:
     def test_sweep_csv_shape(self):
-        rows = run_sweep(small_cfg(gt_steps=5))
+        result = run_sweep(small_cfg(gt_steps=5))
         buf = io.StringIO()
-        write_sweep_csv(rows, buf)
+        write_sweep_csv(result, buf)
         lines = buf.getvalue().split("\n")
         assert lines[0] == "gt,concurrence,eof"
         assert lines[-1] == ""  # trailing newline
@@ -204,8 +240,22 @@ class TestCsvFormat:
         # 12 significant digits
         value = 0.123456789012345
         buf2 = io.StringIO()
-        write_sweep_csv([type(rows[0])(value, value, value)], buf2)
+        write_sweep_csv(SweepResult(*[np.array([value])] * 3), buf2)
         assert "0.123456789012" in buf2.getvalue()
+
+    def test_cells_match_per_cell_formatting(self):
+        # the template writer must print each cell exactly as format(x, ".12g")
+        values = np.array(
+            [0.0, -0.0, 1.0, 0.5, 1e-300, 5e-324, 0.123456789012345, 2.0 / 3.0,
+             123456789012.5, 9.9999999999995e-5, 1e16, 0.3]
+        )
+        columns = SweepResult(values, values[::-1].copy(), np.roll(values, 5))
+        buf = io.StringIO()
+        write_sweep_csv(columns, buf)
+        expected = "gt,concurrence,eof\n" + "".join(
+            ",".join(format(float(x), ".12g") for x in row) + "\n" for row in zip(*columns)
+        )
+        assert buf.getvalue() == expected
 
     def test_compare_csv_has_peak_comments(self):
         cfg = small_cfg(gt_steps=5)

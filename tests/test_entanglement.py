@@ -16,10 +16,16 @@ from cavent import (
     gamma_coefficients,
     spin_flipped,
 )
+from cavent.entanglement import EIG_HARD_TOL, _factor, _pivoted_factor
 from quartic_oracle import quartic_eigenvalues
 
 # -x log2 x - (1-x) log2 (1-x) at x = 0.9, frozen from a direct evaluation
 H_OF_09 = 0.46899559358928117
+
+EPS = 2.0**-52
+# the concurrence module's documented accuracy of W W^T = rho, in units of
+# eps * max diag(rho), for a positive semidefinite rho
+FACTOR_BOUND = 16
 
 
 def rotated(rho, theta1, theta2):
@@ -135,6 +141,168 @@ class TestConcurrence:
         assert type(concurrence(bell_state)) is float
 
 
+def rank_two_mixture():
+    """(|Psi+><Psi+| + |gg><gg|) / 2 with Psi+ = (|eg> + |ge>)/sqrt(2): C = 1/2."""
+    rho = np.zeros((4, 4))
+    rho[1, 1] = rho[1, 2] = rho[2, 1] = rho[2, 2] = 0.25
+    rho[3, 3] = 0.5
+    return rho
+
+
+def clamped_concurrence(rho):
+    """C from W = V sqrt(max(D, 0)), the eigenvalues of rho clamped to zero."""
+    values, vectors = np.linalg.eigh(rho)
+    w = vectors * np.sqrt(np.maximum(values, 0.0))
+    flip = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))
+    s = np.sort(np.abs(np.linalg.eigvalsh(w.T @ flip @ w)))
+    return s[3] - s[2] - s[1] - s[0]
+
+
+def small_pivot_state(d):
+    """Eigenvalues about 0.9, 0.1 and +-3.5e-9, which the gate tolerates.  The
+    pivots go 2, 0, 1: the third pivot, about d, meets an off-diagonal -5e-9
+    whose column entry b / sqrt(d) puts b^2 / d on the diagonal of W W^T."""
+    rho = np.zeros((4, 4))
+    rho[0, 0] = 0.1
+    rho[1, 1] = rho[1, 2] = rho[2, 1] = 0.45
+    rho[2, 2] = 0.45 + d
+    rho[2, 3] = rho[3, 2] = 5e-9
+    return rho
+
+
+def factor_deviation(rho):
+    """max |W W^T - rho| / (eps * max diag(rho)) for each matrix of a stack."""
+    w, _ = _pivoted_factor(rho)
+    deviation = np.abs(w @ np.swapaxes(w, -1, -2) - rho).max(axis=(-2, -1))
+    return deviation / (EPS * rho.diagonal(axis1=-2, axis2=-1).max(axis=-1))
+
+
+class TestPivotedFactor:
+    @pytest.fixture
+    def states(self, product_state, bell_state):
+        dist = coherent_distribution(CoherentParams(1.0))
+        # (rho, exact C, rank)
+        return {
+            "product": (product_state, 0.0, 1),
+            "bell": (bell_state, 1.0, 1),
+            "gt=0": (assemble_rho(gamma_coefficients(dist, 0.0)), 0.0, 1),
+            "rank-2 mixture": (rank_two_mixture(), 0.5, 2),
+        }
+
+    @pytest.mark.parametrize("name", ["product", "bell", "gt=0", "rank-2 mixture"])
+    def test_low_rank_states(self, states, name):
+        rho, exact, rank = states[name]
+        assert concurrence(rho) == exact
+        w = _pivoted_factor(rho[None])[0][0]
+        assert factor_deviation(rho[None])[0] <= FACTOR_BOUND
+        # the factorization stops at the rank: the remaining columns are zero
+        assert np.count_nonzero(np.abs(w).max(axis=0)) == rank
+        assert np.all(w[:, rank:] == 0.0)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_random_states_of_each_rank(self, rank):
+        rng = np.random.default_rng(40 + rank)
+        g = rng.standard_normal((2000, 4, rank)) * rng.choice([1.0, 1e-3, 1e-6], (2000, 1, rank))
+        rho = g @ np.swapaxes(g, -1, -2)
+        rho = rho / np.trace(rho, axis1=-2, axis2=-1)[:, None, None]
+        rho = 0.5 * (rho + np.swapaxes(rho, -1, -2))
+        assert np.all(factor_deviation(rho) <= FACTOR_BOUND)
+        # the remainder check keeps every such factor
+        w, left = _pivoted_factor(rho)
+        assert np.all(left <= FACTOR_BOUND * EPS * rho.diagonal(axis1=-2, axis2=-1).max(axis=-1))
+        assert np.array_equal(_factor(rho), w)
+
+    def test_stops_at_the_first_pivot_at_or_below_the_tolerance(self):
+        # tolerance: 4 * 2^-53 * max diag(rho), the default of LAPACK's dpstrf
+        tol = 4 * 2.0**-53
+        at = _pivoted_factor(np.diag([1.0, tol, 0.0, 0.0])[None])[0][0]
+        above = _pivoted_factor(np.diag([1.0, 2.0 * tol, 0.0, 0.0])[None])[0][0]
+        assert np.count_nonzero(at) == 1
+        assert np.count_nonzero(above) == 2
+        # the tolerance scales with the largest diagonal entry
+        scaled = _pivoted_factor(np.diag([0.25, 0.25 * tol, 0.0, 0.0])[None])[0][0]
+        assert np.count_nonzero(scaled) == 1
+
+    def test_pivots_on_the_largest_diagonal_entry(self):
+        w = _pivoted_factor(np.diag([0.1, 0.2, 0.3, 0.4])[None])[0][0]
+        assert np.array_equal(w, np.sqrt(np.diag([0.1, 0.2, 0.3, 0.4]))[:, ::-1])
+
+
+class TestPositiveSemidefiniteGate:
+    def test_refuses_an_eigenvalue_below_the_bound(self):
+        rho = rotated(np.diag([0.6, 0.4, 2e-8, -2e-8]), 0.3, 0.8)
+        with pytest.raises(NumericsError, match="eigenvalue") as info:
+            concurrence(rho)
+        # the message names the offending eigenvalue
+        named = float(str(info.value).split()[1])
+        assert named == pytest.approx(-2e-8, abs=1e-15)
+
+    def test_refuses_it_inside_a_stack(self, make_random_density):
+        rng = np.random.default_rng(3)
+        stack = np.array([make_random_density(rng) for _ in range(9)])
+        stack[6] = rotated(np.diag([0.6, 0.4, 2e-8, -2e-8]), 0.3, 0.8)
+        with pytest.raises(NumericsError, match="eigenvalue") as info:
+            concurrence(stack)
+        assert float(str(info.value).split()[1]) == pytest.approx(-2e-8, abs=1e-15)
+
+    def test_accepts_roundoff_alone_and_inside_a_stack(self, make_random_density):
+        rho = rotated(np.diag([0.6, 0.4, 5e-9, -5e-9]), 0.3, 0.8)
+        assert 0.0 <= concurrence(rho) <= 1.0
+        rng = np.random.default_rng(4)
+        stack = np.array([make_random_density(rng) for _ in range(5)] + [rho])
+        assert np.array_equal(concurrence(stack)[-1:], [concurrence(rho)])
+
+
+class TestIndefiniteInput:
+    @pytest.mark.parametrize("d", [1e-12, 1e-15, 3e-16])
+    def test_a_small_pivot_does_not_blow_up_the_factor(self, d):
+        rho = small_pivot_state(d)
+        assert np.linalg.eigvalsh(rho)[0] > -EIG_HARD_TOL
+        _, left = _pivoted_factor(rho[None])
+        assert left[0] > 1e-6  # the pivoted factor misses rho
+        w = _factor(rho[None])[0]
+        assert np.abs(w @ w.T - rho).max() <= 1e-8
+        assert abs(concurrence(rho) - clamped_concurrence(rho)) <= 1e-8
+
+    def test_random_states_with_a_tolerated_negative_eigenvalue(self):
+        rng = np.random.default_rng(12)
+        values = rng.dirichlet(np.ones(4), 3000) * rng.choice([1.0, 0.0], (3000, 4), p=[0.6, 0.4])
+        values[:, 0] = -rng.uniform(0.0, 0.9 * EIG_HARD_TOL, 3000)
+        values[:, 1:] += rng.choice([0.0, 1e-9, 1e-5], (3000, 3))
+        q, _ = np.linalg.qr(rng.standard_normal((3000, 4, 4)))
+        rho = (q * values[:, None, :]) @ np.swapaxes(q, -1, -2)
+        rho = 0.5 * (rho + np.swapaxes(rho, -1, -2))
+        w = _factor(rho)
+        assert np.abs(w @ np.swapaxes(w, -1, -2) - rho).max() <= 1e-8
+        clamped = np.array([clamped_concurrence(m) for m in rho])
+        assert np.abs(concurrence(rho) - np.clip(clamped, 0.0, 1.0)).max() <= 1e-8
+
+
+class TestInputIsNotModified:
+    def test_single_matrix(self, make_random_density):
+        rho = make_random_density(np.random.default_rng(8))
+        kept = rho.copy()
+        concurrence(rho)
+        assert np.array_equal(rho, kept)
+
+    def test_stack_of_one_moved_from_another_axis(self, make_random_density):
+        # a (4, 4, 1) array with its last axis moved to the front is a
+        # C-contiguous (1, 4, 4) view of the caller's memory
+        base = make_random_density(np.random.default_rng(9))[:, :, None].copy()
+        stack = np.moveaxis(base, -1, 0)
+        assert stack.flags.c_contiguous and np.shares_memory(stack, base)
+        kept = base.copy()
+        concurrence(stack)
+        assert np.array_equal(base, kept)
+
+    def test_read_only_input(self, make_random_density):
+        rng = np.random.default_rng(10)
+        stack = np.array([make_random_density(rng) for _ in range(3)])
+        expected = concurrence(stack.copy())
+        stack.flags.writeable = False
+        assert np.array_equal(concurrence(stack), expected)
+
+
 class TestStackedConcurrence:
     @pytest.fixture
     def stack(self, make_random_density, make_werner, bell_state, product_state):
@@ -204,6 +372,13 @@ class TestBinaryEntropy:
         assert binary_entropy(-1e-13) == 0.0
         assert binary_entropy(1.0 + 1e-13) == 0.0
 
+    def test_array_path(self):
+        x = np.linspace(0.0, 1.0, 1001)
+        values = binary_entropy(x)
+        assert values.shape == x.shape
+        assert np.abs(values - [binary_entropy(float(v)) for v in x]).max() <= 1e-16
+        assert type(binary_entropy(0.3)) is float
+
     @pytest.mark.parametrize("x", [-1e-3, 1.001, -2e-11, 1.0 + 2e-11, float("nan")])
     def test_rejects_out_of_domain(self, x):
         with pytest.raises(ParameterError):
@@ -228,6 +403,41 @@ class TestEntanglementOfFormation:
         # an impossible concurrence must not read as maximal entanglement
         with pytest.raises(ParameterError, match="concurrence must lie in"):
             eof_from_concurrence(c)
+
+    def test_float_in_float_out(self):
+        for c in (0.0, 0.6, 1.0, np.float64(0.6), np.array(0.6)):
+            assert type(eof_from_concurrence(c)) is float
+
+    def test_array_path_equals_scalar_path(self):
+        grid = np.linspace(0.0, 1.0, 20001)
+        values = eof_from_concurrence(grid)
+        assert values.shape == grid.shape
+        scalar = np.array([eof_from_concurrence(c) for c in grid.tolist()])
+        assert np.abs(values - scalar).max() <= 1e-16
+
+    def test_array_path_matches_a_libm_evaluation(self):
+        def libm_eof(c):
+            x = 0.5 * (1.0 + math.sqrt(1.0 - c * c))
+            if x == 1.0:
+                return 0.0
+            return -(x * math.log(x) + (1.0 - x) * math.log(1.0 - x)) / math.log(2.0)
+
+        grid = np.linspace(0.0, 1.0, 2001)
+        values = eof_from_concurrence(grid)
+        assert np.abs(values - [libm_eof(c) for c in grid.tolist()]).max() <= 4e-16
+
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"), -float("inf"), -2e-12, 1.0 + 2e-12])
+    def test_array_rejects_out_of_domain(self, c):
+        with pytest.raises(ParameterError, match="concurrence must lie in"):
+            eof_from_concurrence(np.array([0.2, 0.5, c, 0.7]))
+        with pytest.raises(ParameterError, match="binary_entropy argument must lie in"):
+            binary_entropy(np.array([0.2, c]))
+
+    def test_array_clamps_roundoff_overshoot(self):
+        values = eof_from_concurrence(np.array([-1e-12, -1e-13, 0.0, 1.0, 1.0 + 1e-13, 1.0 + 1e-12]))
+        assert np.array_equal(values, [0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+        # a separable state gives +0.0, which the CSV prints as "0", not "-0"
+        assert not np.any(np.signbit(values))
 
     def test_rejects_a_stack(self, bell_state, product_state):
         # concurrence takes stacks; E_F keeps the single-matrix contract

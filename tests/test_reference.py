@@ -79,12 +79,9 @@ def test_worst_points_of_the_square_root_route(name, index):
     assert abs(concurrence(rho) - reference_concurrence(rho)) < REFERENCE_TOL
 
 
-# A known defect (the FOUND line on the coherent mean-0.3 field in
-# CHANGES.md): at gt ~ 4.7554, where C ~ 0.043 and rho has eigenvalues down to
-# 1e-5, the double-precision concurrence step alone errs by 2.6e-14.
-@pytest.mark.xfail(
-    strict=True, reason="the concurrence step loses digits on this rho (CHANGES.md FOUND)"
-)
+# at gt ~ 4.7554, where C ~ 0.043 and rho has eigenvalues down to 1e-5, a
+# factor W = V sqrt(D) from the eigenvectors of rho erred by 2.6e-14; the
+# pivoted Cholesky factor takes no square root of an eigenvalue
 def test_worst_point_of_the_dim_coherent_field():
     dist, grid = _grid("coherent-0.3")
     rho = assemble_rho(gamma_coefficients(dist, float(grid[243])))
