@@ -10,26 +10,22 @@ CSV-emitting command line.
 
 from .dynamics import BASIS, GammaCoefficients, assemble_rho, gamma_coefficients
 from .entanglement import (
-    EntanglementResult,
     binary_entropy,
     concurrence,
-    entanglement_of_formation,
     eof_from_concurrence,
     spin_flipped,
 )
 from .errors import CaventError, NumericsError, ParameterError
 from .fields import (
-    CoherentParams,
     PhotonDistribution,
     QuadratureVariances,
     SqueezedParams,
-    coherent_distribution,
     mean_photon,
     quadrature_variances,
     solve_alpha_for_mean,
     squeezed_distribution,
 )
-from .oracle import TripartiteState, trace_out_field, tripartite_state
+from .oracle import trace_out_field, tripartite_state
 from .cli import (
     CompareResult,
     OracleReport,
@@ -45,9 +41,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BASIS",
     "CaventError",
-    "CoherentParams",
     "CompareResult",
-    "EntanglementResult",
     "GammaCoefficients",
     "NumericsError",
     "OracleReport",
@@ -57,12 +51,9 @@ __all__ = [
     "SqueezedParams",
     "SweepConfig",
     "SweepResult",
-    "TripartiteState",
     "assemble_rho",
     "binary_entropy",
-    "coherent_distribution",
     "concurrence",
-    "entanglement_of_formation",
     "eof_from_concurrence",
     "gamma_coefficients",
     "mean_photon",

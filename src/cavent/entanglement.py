@@ -41,7 +41,6 @@ to [0, 1].
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -66,11 +65,6 @@ _PIVOT_TOL = 4 * 2.0**-53
 _FACTOR_TOL = 16 * 2.0**-52
 
 _FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
-
-
-class EntanglementResult(NamedTuple):
-    concurrence: float
-    eof: float
 
 
 def _float_or_array(x):
@@ -217,15 +211,3 @@ def eof_from_concurrence(c: float | np.ndarray) -> float | np.ndarray:
     c = _unit_interval("concurrence", c)
     value = _entropy(0.5 * (1.0 + np.sqrt(1.0 - c * c)))
     return _float_or_array(np.clip(value, 0.0, 1.0))
-
-
-def entanglement_of_formation(rho: np.ndarray) -> EntanglementResult:
-    """Concurrence and entanglement of formation of one 4x4 two-qubit density
-    matrix; a stack raises ParameterError (`concurrence` takes stacks)."""
-    if np.ndim(rho) != 2:
-        raise ParameterError(
-            f"entanglement_of_formation takes a single 4x4 matrix, got shape {np.shape(rho)}; "
-            "use concurrence for a stack"
-        )
-    c = concurrence(rho)
-    return EntanglementResult(c, eof_from_concurrence(c))

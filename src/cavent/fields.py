@@ -62,18 +62,6 @@ def _require_finite(name, value):
 
 
 @dataclass(frozen=True)
-class CoherentParams:
-    """Real, nonnegative coherent amplitude. Mean photon number is alpha**2."""
-
-    alpha: float
-
-    def __post_init__(self):
-        _require_finite("alpha", self.alpha)
-        if self.alpha < 0.0:
-            raise ParameterError(f"alpha must be >= 0, got {self.alpha}")
-
-
-@dataclass(frozen=True)
 class SqueezedParams:
     """Real amplitude alpha >= 0 and squeezing parameter r >= 0.
 
@@ -140,18 +128,6 @@ class QuadratureVariances(NamedTuple):
 
     da1: float
     da2: float
-
-
-def coherent_distribution(
-    params: CoherentParams, tail_tol: float = DEFAULT_TAIL_TOL
-) -> PhotonDistribution:
-    """Poissonian photon distribution of a coherent field, P_n = e^-<n> <n>^n / n!.
-
-    The coherent field is the squeezed coherent field at r = 0, so this is
-    `squeezed_distribution` with r = 0: the recurrence reduces to
-    c_0 = exp(-alpha^2 / 2), c_{n+1} = alpha c_n / sqrt(n + 1).
-    """
-    return squeezed_distribution(SqueezedParams(params.alpha, 0.0), tail_tol)
 
 
 def squeezed_distribution(

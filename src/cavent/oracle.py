@@ -26,53 +26,23 @@ same bits whichever grid it sits in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dynamics import _check_angles
 from .fields import PhotonDistribution
 
 
-@dataclass(frozen=True, eq=False)
-class TripartiteState:
-    """Real amplitude table over (atom1 level, atom2 level, photon number).
-
-    Level index 0 is the excited state, 1 the ground state; the photon axis
-    runs from 0 to n_max + 2 of the source distribution.  One angle gives a
-    (2, 2, n_max + 3) table, a grid of G angles a (G, 2, 2, n_max + 3) stack.
-
-    The table is read-only.  A read-only float array that owns its memory,
-    such as the one `tripartite_state` builds, is kept without a copy.
-    Anything else, such as a list or a caller's writable array, is copied
-    and the copy frozen, so the caller's array stays writable and later
-    writes to it do not reach the state.
-    """
-
-    amps: np.ndarray
-
-    def __post_init__(self):
-        arr = self.amps
-        owned = type(arr) is np.ndarray and arr.dtype == float and arr.flags.owndata
-        if not (owned and not arr.flags.writeable):
-            arr = np.array(arr, dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, "amps", arr)
-
-    def norm_squared(self) -> float | np.ndarray:
-        """Squared norm per angle: a float for one angle, a (G,) array for a stack."""
-        squares = self.amps.reshape(self.amps.shape[:-3] + (-1,)) ** 2
-        norms = np.sum(squares, axis=-1)
-        return float(norms) if norms.ndim == 0 else norms
-
-
-def tripartite_state(dist: PhotonDistribution, gt: float | np.ndarray) -> TripartiteState:
+def tripartite_state(dist: PhotonDistribution, gt: float | np.ndarray) -> np.ndarray:
     """Joint atom-atom-field state after both transits at Rabi angle gt.
 
-    gt is one angle or a 1-D array of G angles (see TripartiteState for the
-    shapes).  Raises ParameterError for a negative or non-finite angle or a
-    grid of more than one dimension, and NumericsError for an angle too large
-    for its phases to carry correct digits (see dynamics.PHASE_TOL).
+    The state is a read-only real amplitude table over (atom1 level, atom2
+    level, photon number).  Level index 0 is the excited state, 1 the ground
+    state; the photon axis runs from 0 to n_max + 2 of the source
+    distribution.  gt is one angle, giving a (2, 2, n_max + 3) table, or a
+    1-D array of G angles, giving a (G, 2, 2, n_max + 3) stack.  Raises
+    ParameterError for a negative or non-finite angle or a grid of more than
+    one dimension, and NumericsError for an angle too large for its phases
+    to carry correct digits (see dynamics.PHASE_TOL).
     """
     p = dist.probs
     levels = len(p)
@@ -92,12 +62,13 @@ def tripartite_state(dist: PhotonDistribution, gt: float | np.ndarray) -> Tripar
     amps[..., 1, 0, 1:levels + 1] = a * c2 * s1
     amps[..., 1, 1, 2:] = a * s1 * s2
     amps.setflags(write=False)
-    return TripartiteState(amps)
+    return amps
 
 
-def trace_out_field(state: TripartiteState) -> np.ndarray:
+def trace_out_field(amps: np.ndarray) -> np.ndarray:
     """Partial trace over the photon index: rho_ij = sum_n v_i(n) v_j(n).
 
+    amps is an amplitude table or stack as `tripartite_state` returns it.
     One angle gives a (4, 4) matrix, a stack of G angles a (G, 4, 4) stack.
     Rows/columns follow dynamics.BASIS.  rho = v v^T on the (4, n_max + 3)
     view v of the amplitude table, which numpy evaluates as one BLAS dsyrk
@@ -108,5 +79,6 @@ def trace_out_field(state: TripartiteState) -> np.ndarray:
     the reference grids (means 0.3, 50 and 400) the entries differ from
     exactly rounded sums (math.fsum) of the same products by at most 8.9e-16.
     """
-    v = state.amps.reshape(state.amps.shape[:-3] + (4, -1))
+    # the photon-axis length is given, not -1, so that an empty grid reshapes
+    v = amps.reshape(amps.shape[:-3] + (4, amps.shape[-1]))
     return v @ np.swapaxes(v, -1, -2)

@@ -10,13 +10,10 @@ import numpy as np
 import pytest
 
 from cavent import (
-    CoherentParams,
     SqueezedParams,
     SweepConfig,
     assemble_rho,
-    coherent_distribution,
     concurrence,
-    entanglement_of_formation,
     eof_from_concurrence,
     gamma_coefficients,
     mean_photon,
@@ -48,7 +45,7 @@ def _grid_distributions(tail_tol):
     for mean, r in MEANS_AND_R:
         fields.append(
             ("coherent", mean, 0.0,
-             coherent_distribution(CoherentParams(math.sqrt(mean)), tail_tol))
+             squeezed_distribution(SqueezedParams(math.sqrt(mean), 0.0), tail_tol))
         )
         alpha = solve_alpha_for_mean(mean, r)
         fields.append(
@@ -160,11 +157,11 @@ def test_criterion_6_trivial_anchors():
     exact_zero = True
     for _, _, _, dist in _grid_distributions(1e-12):
         rho = assemble_rho(gamma_coefficients(dist, 0.0))
-        result = entanglement_of_formation(rho)
-        exact_zero = exact_zero and result.concurrence == 0.0 and result.eof == 0.0
+        c = concurrence(rho)
+        exact_zero = exact_zero and c == 0.0 and eof_from_concurrence(c) == 0.0
 
     # single-photon-free cavity: closed trigonometric forms
-    vacuum = coherent_distribution(CoherentParams(0.0))
+    vacuum = squeezed_distribution(SqueezedParams(0.0, 0.0))
     worst = 0.0
     for gt in (0.25, 1.0, 2.3, math.pi, 7.7):
         g = gamma_coefficients(vacuum, gt)
@@ -184,8 +181,8 @@ def test_criterion_6_trivial_anchors():
 
 
 def test_criterion_7_entanglement_unit_suite(bell_state, product_state, make_werner):
-    c_bell, eof_bell = entanglement_of_formation(bell_state)
-    c_prod, eof_prod = entanglement_of_formation(product_state)
+    c_bell, c_prod = concurrence(bell_state), concurrence(product_state)
+    eof_bell, eof_prod = eof_from_concurrence(c_bell), eof_from_concurrence(c_prod)
     c_werner = concurrence(make_werner(0.5))
 
     # independent cross-check of the Werner value through the quartic oracle

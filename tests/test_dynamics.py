@@ -5,12 +5,10 @@ import numpy as np
 import pytest
 
 from cavent import (
-    CoherentParams,
     NumericsError,
     ParameterError,
     SqueezedParams,
     assemble_rho,
-    coherent_distribution,
     gamma_coefficients,
     solve_alpha_for_mean,
     squeezed_distribution,
@@ -82,18 +80,18 @@ def compare_fields(mean, r):
     """The squeezed (a) and coherent (b) fields of compare at this mean."""
     return (
         squeezed_distribution(SqueezedParams(solve_alpha_for_mean(mean, r), r)),
-        coherent_distribution(CoherentParams(math.sqrt(mean))),
+        squeezed_distribution(SqueezedParams(math.sqrt(mean), 0.0)),
     )
 
 
 @pytest.fixture
 def vacuum():
-    return coherent_distribution(CoherentParams(0.0))
+    return squeezed_distribution(SqueezedParams(0.0, 0.0))
 
 
 class TestGammaCoefficients:
     def test_zero_angle(self, vacuum):
-        dist = coherent_distribution(CoherentParams(1.3))
+        dist = squeezed_distribution(SqueezedParams(1.3, 0.0))
         g = gamma_coefficients(dist, 0.0)
         assert g.g1 == pytest.approx(1.0, abs=1e-12)
         assert all(value == 0.0 for value in g[1:])
@@ -161,7 +159,7 @@ class TestGrids:
             assert np.array_equal(getattr(small, name), getattr(large, name)[picks]), name
 
     def test_stacked_rho_matches_scalar_layout(self):
-        dist = coherent_distribution(CoherentParams(1.0))
+        dist = squeezed_distribution(SqueezedParams(1.0, 0.0))
         grid = np.array([0.0, 0.9, 3.3])
         stack = assemble_rho(gamma_coefficients(dist, grid))
         assert stack.shape == (3, 4, 4)
@@ -169,13 +167,13 @@ class TestGrids:
             assert np.array_equal(rho, assemble_rho(gamma_coefficients(dist, gt)))
 
     def test_scalar_angle_gives_floats(self):
-        g = gamma_coefficients(coherent_distribution(CoherentParams(1.0)), 0.9)
+        g = gamma_coefficients(squeezed_distribution(SqueezedParams(1.0, 0.0)), 0.9)
         assert all(type(value) is float for value in g)
 
     def test_peak_memory_is_bounded_by_blocks(self):
         # the coherent field of compare --mean 400 (n_max 559); unblocked, the
         # trig factors of its 128 angles take ~4.5 MiB
-        dist = coherent_distribution(CoherentParams(20.0))
+        dist = squeezed_distribution(SqueezedParams(20.0, 0.0))
         grid = np.linspace(0.0, 50.0, 128)
         tracemalloc.start()
         try:
@@ -286,14 +284,14 @@ class TestPhasePrecision:
         assert PHASE_TOL == CONCURRENCE_CHECK_TOL
 
     def test_refuses_angles_whose_phases_lose_their_digits(self):
-        dist = coherent_distribution(CoherentParams(1.0))
+        dist = squeezed_distribution(SqueezedParams(1.0, 0.0))
         with pytest.raises(NumericsError):
             gamma_coefficients(dist, 1e300)
         with pytest.raises(NumericsError):
             gamma_coefficients(dist, np.array([0.0, 1.0, 1e300]))
 
     def test_threshold(self):
-        dist = coherent_distribution(CoherentParams(1.0))
+        dist = squeezed_distribution(SqueezedParams(1.0, 0.0))
         edge = PHASE_TOL / (math.sqrt(dist.n_max + 2) * np.finfo(float).eps)
         gamma_coefficients(dist, 0.99 * edge)
         with pytest.raises(NumericsError):
@@ -302,7 +300,7 @@ class TestPhasePrecision:
 
 class TestAssembleRho:
     def test_layout(self):
-        g = gamma_coefficients(coherent_distribution(CoherentParams(1.0)), 0.9)
+        g = gamma_coefficients(squeezed_distribution(SqueezedParams(1.0, 0.0)), 0.9)
         rho = assemble_rho(g)
         expected = np.array(
             [
@@ -316,7 +314,7 @@ class TestAssembleRho:
         assert np.array_equal(rho, rho.T)
 
     def test_zero_angle_state(self):
-        dist = coherent_distribution(CoherentParams(0.7))
+        dist = squeezed_distribution(SqueezedParams(0.7, 0.0))
         rho = assemble_rho(gamma_coefficients(dist, 0.0))
         assert rho[0, 0] == pytest.approx(1.0, abs=1e-12)
         off = rho - np.diag(np.diag(rho))

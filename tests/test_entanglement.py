@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 
 from cavent import (
-    CoherentParams,
     NumericsError,
     ParameterError,
+    SqueezedParams,
     assemble_rho,
     binary_entropy,
-    coherent_distribution,
     concurrence,
-    entanglement_of_formation,
     eof_from_concurrence,
     gamma_coefficients,
     spin_flipped,
+    squeezed_distribution,
 )
 from cavent.entanglement import EIG_HARD_TOL, _factor, _pivoted_factor
 from quartic_oracle import quartic_eigenvalues
@@ -93,7 +92,7 @@ class TestConcurrence:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_local_rotation_invariance(self, make_werner, seed):
         rng = np.random.default_rng(seed)
-        dist = coherent_distribution(CoherentParams(1.0))
+        dist = squeezed_distribution(SqueezedParams(1.0, 0.0))
         states = [
             make_werner(0.7),
             assemble_rho(gamma_coefficients(dist, 2.0)),
@@ -180,7 +179,7 @@ def factor_deviation(rho):
 class TestPivotedFactor:
     @pytest.fixture
     def states(self, product_state, bell_state):
-        dist = coherent_distribution(CoherentParams(1.0))
+        dist = squeezed_distribution(SqueezedParams(1.0, 0.0))
         # (rho, exact C, rank)
         return {
             "product": (product_state, 0.0, 1),
@@ -307,7 +306,7 @@ class TestStackedConcurrence:
     @pytest.fixture
     def stack(self, make_random_density, make_werner, bell_state, product_state):
         rng = np.random.default_rng(5)
-        dist = coherent_distribution(CoherentParams(1.0))
+        dist = squeezed_distribution(SqueezedParams(1.0, 0.0))
         return np.concatenate(
             [
                 np.array([make_random_density(rng) for _ in range(6)]),
@@ -439,11 +438,6 @@ class TestEntanglementOfFormation:
         # a separable state gives +0.0, which the CSV prints as "0", not "-0"
         assert not np.any(np.signbit(values))
 
-    def test_rejects_a_stack(self, bell_state, product_state):
-        # concurrence takes stacks; E_F keeps the single-matrix contract
-        with pytest.raises(ParameterError, match="single 4x4 matrix"):
-            entanglement_of_formation(np.stack([bell_state, product_state]))
-
     def test_monotone_on_dense_grid(self):
         grid = np.linspace(0.0, 1.0, 1000)
         values = [eof_from_concurrence(float(c)) for c in grid]
@@ -451,10 +445,11 @@ class TestEntanglementOfFormation:
         assert all(0.0 <= v <= 1.0 for v in values)
 
     def test_composed_results(self, bell_state, product_state, make_werner):
-        assert entanglement_of_formation(product_state) == (0.0, 0.0)
-        c, eof = entanglement_of_formation(bell_state)
+        c = concurrence(product_state)
+        assert (c, eof_from_concurrence(c)) == (0.0, 0.0)
+        c = concurrence(bell_state)
         assert c == pytest.approx(1.0, abs=1e-10)
-        assert eof == pytest.approx(1.0, abs=1e-10)
-        c, eof = entanglement_of_formation(make_werner(0.5))
+        assert eof_from_concurrence(c) == pytest.approx(1.0, abs=1e-10)
+        c = concurrence(make_werner(0.5))
         assert c == pytest.approx(0.25, abs=1e-10)
-        assert eof == pytest.approx(eof_from_concurrence(0.25), abs=1e-12)
+        assert eof_from_concurrence(c) == pytest.approx(eof_from_concurrence(0.25), abs=1e-12)

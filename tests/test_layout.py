@@ -3,7 +3,12 @@
 * numpy is the only third-party runtime dependency: every import in
   `src/cavent` is from the standard library, numpy or `cavent` itself;
 * the library does not import the command line: only `__init__`,
-  `__main__` and `cli` itself import `cavent.cli`.
+  `__main__` and `cli` itself import `cavent.cli`;
+* the benchmark's view of the library holds: every `from cavent... import
+  name` in `perfbench/` resolves, and `cavent.cli` binds the layer functions
+  that the benchmark's tracer wraps there (an unbound one would silently read
+  as zero calls) and the entry points it calls.  `perfbench/` is read, never
+  imported.
 """
 
 import ast
@@ -12,9 +17,23 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cavent"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "cavent"
 MODULES = sorted(PACKAGE.glob("*.py"))
 CLI_IMPORTERS = {"__init__", "__main__", "cli"}
+BENCHMARK_SCRIPTS = sorted((ROOT / "perfbench").glob("*.py"))
+# the functions perfbench/layers.py's LAYERS wraps in cavent.cli, and the
+# entry points perfbench/run.py calls there
+CLI_NAMES_BENCHMARKED = (
+    "squeezed_distribution",
+    "gamma_coefficients",
+    "assemble_rho",
+    "concurrence",
+    "tripartite_state",
+    "trace_out_field",
+    "main",
+    "build_parser",
+)
 
 
 def imported_modules(path):
@@ -30,6 +49,40 @@ def imported_modules(path):
             # `from . import cli` and `from cavent import cli` import a submodule
             names += [base] + [f"{base}.{alias.name}" for alias in node.names]
     return names
+
+
+def module_file(dotted):
+    """Source file of a cavent module, e.g. `cavent.cli` -> src/cavent/cli.py."""
+    parts = dotted.split(".")
+    return PACKAGE.joinpath(*parts[1:]).with_suffix(".py") if parts[1:] else PACKAGE / "__init__.py"
+
+
+def bound_names(path):
+    """Names a module binds at its top level: definitions, assignments and imports."""
+    names = set()
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {(a.asname or a.name).split(".")[0] for a in node.names}
+    return names
+
+
+def benchmark_imports():
+    """(script, module, name) for every `from cavent... import name` in perfbench/;
+    name is None for `import cavent...`."""
+    found = []
+    for path in BENCHMARK_SCRIPTS:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "cavent":
+                found += [(path.name, node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+                found += [(path.name, m, None) for m in modules if m.split(".")[0] == "cavent"]
+    return found
 
 
 def test_modules_found():
@@ -48,3 +101,22 @@ def test_imports_only_stdlib_numpy_and_cavent(path):
 )
 def test_library_does_not_import_cli(path):
     assert "cavent.cli" not in imported_modules(path)
+
+
+def test_benchmark_imports_found():
+    assert {script for script, _, _ in benchmark_imports()} >= {"baseline.py", "workloads.py"}
+
+
+@pytest.mark.parametrize("script,module,name", benchmark_imports(), ids=str)
+def test_benchmark_import_resolves(script, module, name):
+    assert module_file(module).is_file(), f"{script}: no module {module}"
+    if name is not None:
+        submodule = module_file(f"{module}.{name}")
+        assert name in bound_names(module_file(module)) or submodule.is_file(), (
+            f"{script}: {module} has no {name}"
+        )
+
+
+@pytest.mark.parametrize("name", CLI_NAMES_BENCHMARKED)
+def test_cli_binds_what_the_benchmark_uses(name):
+    assert name in bound_names(PACKAGE / "cli.py")

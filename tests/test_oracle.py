@@ -5,14 +5,11 @@ import numpy as np
 import pytest
 
 from cavent import (
-    CoherentParams,
     NumericsError,
     ParameterError,
     SqueezedParams,
     SweepConfig,
-    TripartiteState,
     assemble_rho,
-    coherent_distribution,
     concurrence,
     gamma_coefficients,
     run_oracle_check,
@@ -60,52 +57,51 @@ def tau_route_squares(rho):
 
 @pytest.fixture
 def vacuum():
-    return coherent_distribution(CoherentParams(0.0))
+    return squeezed_distribution(SqueezedParams(0.0, 0.0))
 
 
-class TestTripartiteState:
+class TestTripartiteAmplitudes:
     def test_zero_angle_keeps_atoms_excited(self):
-        dist = coherent_distribution(CoherentParams(1.0))
-        state = tripartite_state(dist, 0.0)
+        dist = squeezed_distribution(SqueezedParams(1.0, 0.0))
+        amps = tripartite_state(dist, 0.0)
         expected = np.sqrt(dist.probs)
-        assert np.max(np.abs(state.amps[0, 0, : len(expected)] - expected)) == 0.0
-        assert np.max(np.abs(state.amps[0, 1])) == 0.0
-        assert np.max(np.abs(state.amps[1, 0])) == 0.0
-        assert np.max(np.abs(state.amps[1, 1])) == 0.0
+        assert np.max(np.abs(amps[0, 0, : len(expected)] - expected)) == 0.0
+        assert np.max(np.abs(amps[0, 1])) == 0.0
+        assert np.max(np.abs(amps[1, 0])) == 0.0
+        assert np.max(np.abs(amps[1, 1])) == 0.0
 
     def test_vacuum_has_four_branches(self, vacuum):
         gt = 0.8
-        state = tripartite_state(vacuum, gt)
+        amps = tripartite_state(vacuum, gt)
         c1, s1 = math.cos(gt), math.sin(gt)
         c2, s2 = math.cos(math.sqrt(2.0) * gt), math.sin(math.sqrt(2.0) * gt)
-        assert state.amps[0, 0, 0] == pytest.approx(c1 * c1, abs=1e-15)
-        assert state.amps[0, 1, 1] == pytest.approx(c1 * s1, abs=1e-15)
-        assert state.amps[1, 0, 1] == pytest.approx(c2 * s1, abs=1e-15)
-        assert state.amps[1, 1, 2] == pytest.approx(s1 * s2, abs=1e-15)
-        assert np.count_nonzero(state.amps) == 4
+        assert amps[0, 0, 0] == pytest.approx(c1 * c1, abs=1e-15)
+        assert amps[0, 1, 1] == pytest.approx(c1 * s1, abs=1e-15)
+        assert amps[1, 0, 1] == pytest.approx(c2 * s1, abs=1e-15)
+        assert amps[1, 1, 2] == pytest.approx(s1 * s2, abs=1e-15)
+        assert np.count_nonzero(amps) == 4
 
     @pytest.mark.parametrize(
         "alpha,r,gt", [(1.0, 0.0, 0.6), (math.sqrt(0.3), 0.0, 3.1), (2.0, 0.7, 1.4)]
     )
     def test_unit_norm(self, alpha, r, gt):
         dist = squeezed_distribution(SqueezedParams(alpha, r))
-        state = tripartite_state(dist, gt)
-        assert type(state.norm_squared()) is float
-        assert state.norm_squared() == pytest.approx(1.0, abs=1e-10)
+        norm = np.sum(tripartite_state(dist, gt) ** 2, axis=(-3, -2, -1))
+        assert norm == pytest.approx(1.0, abs=1e-10)
         # one norm per angle of a grid
         grid = np.array([0.0, gt, 2.0 * gt, 7.5])
-        norms = tripartite_state(dist, grid).norm_squared()
+        norms = np.sum(tripartite_state(dist, grid) ** 2, axis=(-3, -2, -1))
         assert norms.shape == grid.shape
         assert np.max(np.abs(norms - 1.0)) < 1e-10
-        assert norms[1] == state.norm_squared()
+        assert norms[1] == norm
 
     def test_branch_photon_offsets(self):
         # eg/ge branches live one photon above the source index, gg two above
-        dist = coherent_distribution(CoherentParams(0.9))
-        state = tripartite_state(dist, 1.1)
-        assert state.amps[0, 1, 0] == 0.0
-        assert state.amps[1, 0, 0] == 0.0
-        assert np.max(np.abs(state.amps[1, 1, :2])) == 0.0
+        dist = squeezed_distribution(SqueezedParams(0.9, 0.0))
+        amps = tripartite_state(dist, 1.1)
+        assert amps[0, 1, 0] == 0.0
+        assert amps[1, 0, 0] == 0.0
+        assert np.max(np.abs(amps[1, 1, :2])) == 0.0
 
     def test_rejects_negative_angle(self, vacuum):
         with pytest.raises(ParameterError):
@@ -123,7 +119,7 @@ class TestTripartiteState:
             tripartite_state(dist, np.array([0.0, 1.0, 1e300]))
 
     def test_phase_threshold_is_that_of_the_gamma_sums(self):
-        dist = coherent_distribution(CoherentParams(1.0))
+        dist = squeezed_distribution(SqueezedParams(1.0, 0.0))
         edge = PHASE_TOL / (math.sqrt(dist.n_max + 2) * np.finfo(float).eps)
         tripartite_state(dist, 0.99 * edge)
         gamma_coefficients(dist, 0.99 * edge)
@@ -132,22 +128,10 @@ class TestTripartiteState:
                 refuse(dist, 1.01 * edge)
 
     def test_grid_shape(self):
-        dist = coherent_distribution(CoherentParams(0.9))
+        dist = squeezed_distribution(SqueezedParams(0.9, 0.0))
         stack = tripartite_state(dist, np.array([0.0, 1.1, 2.0]))
-        assert stack.amps.shape == (3, 2, 2, dist.n_max + 3)
-        assert tripartite_state(dist, 1.1).amps.shape == (2, 2, dist.n_max + 3)
-
-    def test_copies_what_the_caller_can_still_write(self):
-        table = np.zeros((2, 2, 5))
-        view = table[:]
-        view.setflags(write=False)
-        for given in (table, view, table.tolist()):
-            state = TripartiteState(given)
-            assert not state.amps.flags.writeable
-            assert not np.shares_memory(state.amps, table)
-        assert table.flags.writeable
-        table[0, 0, 0] = 1.0
-        assert state.amps[0, 0, 0] == 0.0
+        assert stack.shape == (3, 2, 2, dist.n_max + 3)
+        assert tripartite_state(dist, 1.1).shape == (2, 2, dist.n_max + 3)
 
     def test_oracle_block_holds_its_amplitude_table_once(self):
         # one block of oracle-check at mean 50, r 1: 26 angles over n_max 152
@@ -156,19 +140,19 @@ class TestTripartiteState:
         tripartite_state(dist, block)
         tracemalloc.start()
         try:
-            state = tripartite_state(dist, block)
+            amps = tripartite_state(dist, block)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert not state.amps.flags.writeable
+        assert not amps.flags.writeable
         # the table takes 126 KiB; with a second copy of it the peak was
         # 2.77 tables, now it is 2.26
-        assert peak < 2.5 * state.amps.nbytes
+        assert peak < 2.5 * amps.nbytes
 
 
 class TestTraceOutField:
     def test_zero_angle(self):
-        dist = coherent_distribution(CoherentParams(1.0))
+        dist = squeezed_distribution(SqueezedParams(1.0, 0.0))
         rho = trace_out_field(tripartite_state(dist, 0.0))
         assert rho[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(rho - np.diag(np.diag(rho)))) == 0.0
@@ -184,7 +168,7 @@ class TestTraceOutField:
         assert np.trace(rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_analytic_route(self):
-        dist = coherent_distribution(CoherentParams(1.0))
+        dist = squeezed_distribution(SqueezedParams(1.0, 0.0))
         rho_sum = assemble_rho(gamma_coefficients(dist, 0.7))
         rho_oracle = trace_out_field(tripartite_state(dist, 0.7))
         assert np.max(np.abs(rho_sum - rho_oracle)) < 1e-10
@@ -193,6 +177,12 @@ class TestTraceOutField:
         dist = squeezed_distribution(SqueezedParams(1.5, 0.4))
         rho = trace_out_field(tripartite_state(dist, 2.3))
         assert np.array_equal(rho, rho.T)
+
+    def test_empty_grid_gives_an_empty_stack(self, vacuum):
+        # as gamma_coefficients, assemble_rho and concurrence do
+        rho = trace_out_field(tripartite_state(vacuum, np.zeros(0)))
+        assert rho.shape == (0, 4, 4)
+        assert concurrence(rho).shape == (0,)
 
 
 class TestBatchedOracle:
@@ -210,15 +200,15 @@ class TestBatchedOracle:
         edges = [0, 25, 26, 27, 51, 52, 255, 259, 260, 493, 494, 511]
         for k in edges:
             alone = tripartite_state(dist, grid[k])
-            assert np.array_equal(alone.amps, whole.amps[k]), k
+            assert np.array_equal(alone, whole[k]), k
             assert np.array_equal(trace_out_field(alone), rho_whole[k]), k
 
     @pytest.mark.parametrize("mean,r,gt_end,steps", REFERENCE_GRIDS)
     def test_pairwise_trace_matches_fsum_trace(self, mean, r, gt_end, steps):
         dist = reference_field(mean, r)
-        state = tripartite_state(dist, np.linspace(0.0, gt_end, steps))
-        rho = trace_out_field(state)
-        exact = np.array([fsum_trace(amps) for amps in state.amps])
+        amps = tripartite_state(dist, np.linspace(0.0, gt_end, steps))
+        rho = trace_out_field(amps)
+        exact = np.array([fsum_trace(table) for table in amps])
         assert np.max(np.abs(rho - exact)) < 1e-15
 
     def test_stack_is_exactly_symmetric(self):

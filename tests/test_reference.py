@@ -16,10 +16,8 @@ import numpy as np
 import pytest
 
 from cavent import (
-    CoherentParams,
     SqueezedParams,
     assemble_rho,
-    coherent_distribution,
     concurrence,
     gamma_coefficients,
     solve_alpha_for_mean,
@@ -45,16 +43,11 @@ CONFIGS = {
 }
 
 
-def _distribution(field, mean, r):
-    alpha = solve_alpha_for_mean(mean, r)
-    if field == "coherent":
-        return coherent_distribution(CoherentParams(alpha))
-    return squeezed_distribution(SqueezedParams(alpha, r))
-
-
 def _grid(name):
-    field, mean, r, gt_end, steps = CONFIGS[name]
-    return _distribution(field, mean, r), np.linspace(0.0, gt_end, steps)
+    # a coherent field is the squeezed field at r = 0
+    _, mean, r, gt_end, steps = CONFIGS[name]
+    dist = squeezed_distribution(SqueezedParams(solve_alpha_for_mean(mean, r), r))
+    return dist, np.linspace(0.0, gt_end, steps)
 
 
 def reference_concurrence(rho):
