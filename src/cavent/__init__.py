@@ -9,18 +9,12 @@ CSV-emitting command line.
 """
 
 from .dynamics import BASIS, GammaCoefficients, assemble_rho, gamma_coefficients
-from .entanglement import (
-    binary_entropy,
-    concurrence,
-    eof_from_concurrence,
-    spin_flipped,
-)
+from .entanglement import binary_entropy, concurrence, eof_from_concurrence
 from .errors import CaventError, NumericsError, ParameterError
 from .fields import (
     PhotonDistribution,
     QuadratureVariances,
     SqueezedParams,
-    mean_photon,
     quadrature_variances,
     solve_alpha_for_mean,
     squeezed_distribution,
@@ -56,13 +50,11 @@ __all__ = [
     "concurrence",
     "eof_from_concurrence",
     "gamma_coefficients",
-    "mean_photon",
     "quadrature_variances",
     "run_compare",
     "run_oracle_check",
     "run_sweep",
     "solve_alpha_for_mean",
-    "spin_flipped",
     "squeezed_distribution",
     "trace_out_field",
     "tripartite_state",

@@ -19,19 +19,22 @@ factorization of a matrix stops at its first pivot at or below
 4 * 2^-53 * max diag(rho), the default tolerance of LAPACK's dpstrf, and the
 remaining columns of W are zero: such a pivot is roundoff in a rank-deficient
 rho (a pure or rank-2 state).  Each factor is then checked: the remainder
-rho - W W^T that the four steps leave must lie within
-16 * 2^-52 * max diag(rho), which a positive semidefinite rho meets.  A
-tolerated negative eigenvalue (see below) beyond roundoff breaks that, and
-there a small pivot of an indefinite remainder can meet a larger
-off-diagonal entry and blow its column up; such a matrix takes
-W = V sqrt(max(D, 0)) from LAPACK's eigh instead, its negative eigenvalues
-clamped to zero.  Every other matrix takes one LAPACK eigensolve, of tau.
+R = rho - W W^T that the four steps leave must lie within
+min(16 * 2^-52 * max diag(rho), EIG_HARD_TOL / 4), which a positive
+semidefinite density matrix meets (max diag <= 1 puts the bound at 3.6e-15).
 
-A density matrix must be positive semidefinite.  Eigenvalues down to -1e-8
-(EIG_HARD_TOL) are roundoff and tolerated; the stack is refused when the
-LAPACK Cholesky factorization of rho + 1e-8 * I fails for any matrix, which
-puts the bound at -1e-8 up to roundoff.  Only then is the spectrum of rho
-computed, to name the offending eigenvalue.  A non-finite entry is refused too.
+That check is the one positive semidefiniteness decision.  A density matrix
+must be positive semidefinite; eigenvalues down to -1e-8 (EIG_HARD_TOL) are
+roundoff and tolerated.  A kept factor certifies it: ||R||_2 <= 4 max|R_ij|
+<= EIG_HARD_TOL, so the lowest eigenvalue of rho = W W^T + R is at least
+-EIG_HARD_TOL up to roundoff.  A tolerated negative eigenvalue beyond
+roundoff misses the check (there a small pivot of an indefinite remainder can
+meet a larger off-diagonal entry and blow its column up), and so does a
+remainder that is not finite; such a matrix goes to LAPACK's eigh.  The stack
+is refused when the lowest of those eigenvalues is below -EIG_HARD_TOL,
+naming it; otherwise the matrix takes W = V sqrt(max(D, 0)), its negative
+eigenvalues clamped to zero.  Every density matrix thus takes one LAPACK
+eigensolve, of tau.  A non-finite entry or complex input is refused too.
 
 E_F = h((1 + sqrt(1 - C^2)) / 2) with h the binary entropy; both take a float
 (giving a float) or an array (giving an array), and their outputs are clamped
@@ -51,17 +54,15 @@ _SYMMETRY_TOL = 1e-12
 
 # eigenvalues of a nominally PSD rho between -EIG_HARD_TOL and 0 are roundoff
 # and clamped to zero (such a rho fails the factor check and goes through eigh);
-# lower ones are rejected, the bound holding up to roundoff: the check is a
-# Cholesky factorization of rho + EIG_HARD_TOL * I
+# lower ones are rejected, the bound holding up to roundoff
 EIG_HARD_TOL = 1e-8
-_SHIFT = EIG_HARD_TOL * np.eye(4)
 
 # dpstrf's default stopping rule: a pivot at or below n * dlamch('Epsilon') *
 # max diag(rho), with n = 4 and dlamch('Epsilon') = 2^-53, ends the factor
 _PIVOT_TOL = 4 * 2.0**-53
 
 # a factor is kept when its remainder rho - W W^T lies within this times
-# max diag(rho)
+# max diag(rho), and within EIG_HARD_TOL / 4
 _FACTOR_TOL = 16 * 2.0**-52
 
 _FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
@@ -69,20 +70,6 @@ _FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
 
 def _float_or_array(x):
     return float(x) if x.ndim == 0 else x
-
-
-def _check_shape(rho):
-    if rho.ndim < 2 or rho.shape[-2:] != (4, 4):
-        raise ParameterError(f"expected a 4x4 matrix or a stack of them, got shape {rho.shape}")
-
-
-def spin_flipped(rho: np.ndarray) -> np.ndarray:
-    """Y rho Y for real symmetric rho: entries s_i s_j rho[3-i, 3-j] with
-    signs s = (-1, 1, 1, -1).  rho is one 4x4 matrix or a (..., 4, 4) stack,
-    each matrix flipped alone; other shapes raise ParameterError."""
-    rho = np.asarray(rho, dtype=float)
-    _check_shape(rho)
-    return np.outer(_FLIP_SIGNS, _FLIP_SIGNS) * rho[..., ::-1, ::-1]
 
 
 def _pivoted_factor(stack):
@@ -118,14 +105,24 @@ def _pivoted_factor(stack):
 
 
 def _factor(stack):
-    """W with W W^T = rho for each matrix of an (N, 4, 4) stack whose
-    eigenvalues are at least -EIG_HARD_TOL: the pivoted Cholesky factor where
-    its remainder is within _FACTOR_TOL * max diag(rho), else V sqrt(max(D, 0))
-    from eigh (see the module docstring)."""
+    """W with W W^T = rho for each matrix of an (N, 4, 4) stack: the pivoted
+    Cholesky factor where its remainder is within min(_FACTOR_TOL * max
+    diag(rho), EIG_HARD_TOL / 4), else V sqrt(max(D, 0)) from eigh.  Raises
+    NumericsError naming the lowest eigenvalue when one of those eigh
+    matrices has an eigenvalue below -EIG_HARD_TOL (see the module
+    docstring)."""
     w, left = _pivoted_factor(stack)
-    miss = left > _FACTOR_TOL * np.max(np.diagonal(stack, axis1=-2, axis2=-1), axis=-1)
+    scale = np.max(np.diagonal(stack, axis1=-2, axis2=-1), axis=-1)
+    # a NaN remainder is a miss too
+    miss = ~(left <= np.minimum(_FACTOR_TOL * scale, 0.25 * EIG_HARD_TOL))
     if np.any(miss):
         values, vectors = np.linalg.eigh(stack[miss])
+        lowest = float(np.min(values[:, 0]))
+        if lowest < -EIG_HARD_TOL:
+            raise NumericsError(
+                f"eigenvalue {lowest} is below -{EIG_HARD_TOL} (up to roundoff); "
+                "the input was not a valid density matrix"
+            )
         w[miss] = vectors * np.sqrt(np.where(values < 0.0, 0.0, values))[:, None, :]
     return w
 
@@ -136,36 +133,31 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
     Factors rho = W W^T by diagonally pivoted Cholesky, stopping at the first
     pivot at or below 4 * 2^-53 * max diag(rho) (LAPACK dpstrf's default);
     a matrix whose factor leaves a remainder rho - W W^T beyond
-    16 * 2^-52 * max diag(rho) (only an indefinite one) takes
-    W = V sqrt(max(D, 0)) from eigh instead.
+    min(16 * 2^-52 * max diag(rho), EIG_HARD_TOL / 4) (only an indefinite
+    one) takes W = V sqrt(max(D, 0)) from eigh instead.
     It takes s_1 >= ... >= s_4, the eigenvalue magnitudes of W^T Y W (the
-    square roots of the eigenvalues of rho * spin_flipped(rho)), from one
-    LAPACK eigensolve per matrix; the result is s_1 - s_2 - s_3 - s_4
-    clamped to [0, 1].  rho is one 4x4 matrix, giving a float, or a
-    (..., 4, 4) stack, giving an array of the leading shape; a matrix is
-    computed the same way alone or in a stack, and the input is not
-    modified.  An input whose last two axes are not 4x4, or with a matrix
-    not symmetric within 1e-12, raises ParameterError; a non-finite entry,
-    or a matrix whose Cholesky factorization of rho + EIG_HARD_TOL * I fails
-    (an eigenvalue below -EIG_HARD_TOL, up to roundoff), raises
-    NumericsError naming the lowest eigenvalue.
+    square roots of the eigenvalues of rho * (Y rho Y)), from one LAPACK
+    eigensolve per matrix; the result is s_1 - s_2 - s_3 - s_4 clamped to
+    [0, 1].  rho is one 4x4 matrix, giving a float, or a (..., 4, 4) stack,
+    giving an array of the leading shape; a matrix is computed the same way
+    alone or in a stack, and the input is not modified.  Complex input, an
+    input whose last two axes are not 4x4, or a matrix not symmetric within
+    1e-12 raises ParameterError; a non-finite entry, or a matrix taken to
+    eigh with an eigenvalue below -EIG_HARD_TOL (which a kept factor rules
+    out up to roundoff), raises NumericsError, the latter naming the lowest
+    eigenvalue.
     """
-    rho = np.asarray(rho, dtype=float)
-    _check_shape(rho)
+    rho = np.asarray(rho)
+    if np.iscomplexobj(rho):
+        raise ParameterError("expected a real symmetric matrix, got complex entries")
+    rho = rho.astype(float, copy=False)
+    if rho.ndim < 2 or rho.shape[-2:] != (4, 4):
+        raise ParameterError(f"expected a 4x4 matrix or a stack of them, got shape {rho.shape}")
     if not np.all(np.isfinite(rho)):
         raise NumericsError("matrix entry is not finite; the input was not a valid density matrix")
     if np.any(np.abs(rho - np.swapaxes(rho, -1, -2)) > _SYMMETRY_TOL):
         raise ParameterError("matrix is not symmetric within 1e-12")
-    stack = rho.reshape(-1, 4, 4)
-    try:
-        np.linalg.cholesky(stack + _SHIFT)
-    except np.linalg.LinAlgError:
-        lowest = float(np.min(np.linalg.eigvalsh(stack)))
-        raise NumericsError(
-            f"eigenvalue {lowest} is below -{EIG_HARD_TOL} (up to roundoff); "
-            "the input was not a valid density matrix"
-        ) from None
-    w = _factor(stack)
+    w = _factor(rho.reshape(-1, 4, 4))
     tau = np.swapaxes(w, -1, -2) @ (_FLIP_SIGNS[:, None] * w[:, ::-1])
     s = np.sort(np.abs(np.linalg.eigvalsh(tau)), axis=-1)
     c = np.clip(s[:, 3] - s[:, 2] - s[:, 1] - s[:, 0], 0.0, 1.0)

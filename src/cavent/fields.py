@@ -216,12 +216,6 @@ def squeezed_distribution(
     return PhotonDistribution(arr, tail_mass)
 
 
-def mean_photon(dist: PhotonDistribution) -> float:
-    """Mean photon number sum(n * P_n) of a truncated distribution."""
-    n = np.arange(len(dist.probs), dtype=float)
-    return math.fsum(n * dist.probs)
-
-
 def quadrature_variances(params: SqueezedParams) -> QuadratureVariances:
     """Quadrature standard deviations (e^-r / 2, e^r / 2) of the squeezed field.
 

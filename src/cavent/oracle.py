@@ -29,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dynamics import _check_angles
+from .errors import ParameterError
 from .fields import PhotonDistribution
 
 
@@ -78,7 +79,10 @@ def trace_out_field(amps: np.ndarray) -> np.ndarray:
     BLAS build, as the concurrence's already depend on the LAPACK build.  On
     the reference grids (means 0.3, 50 and 400) the entries differ from
     exactly rounded sums (math.fsum) of the same products by at most 8.9e-16.
+    An input of another shape than (..., 2, 2, n) raises ParameterError.
     """
+    if amps.ndim < 3 or amps.shape[-3:-1] != (2, 2):
+        raise ParameterError(f"expected a (..., 2, 2, n) amplitude table, got shape {amps.shape}")
     # the photon-axis length is given, not -1, so that an empty grid reshapes
     v = amps.reshape(amps.shape[:-3] + (4, amps.shape[-1]))
     return v @ np.swapaxes(v, -1, -2)

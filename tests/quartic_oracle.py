@@ -4,6 +4,8 @@ The characteristic quartic of a 4x4 matrix is expanded by Faddeev-LeVerrier
 and solved by a Durand-Kerner iteration in extended precision with
 multiplicity-aware polishing.  It shares nothing with the LAPACK route that
 `cavent.entanglement` uses, which is what the tests cross-check it against.
+The spin flip Y rho Y whose product with rho the oracle solves lives here too:
+the factored route of `cavent.entanglement` never forms it.
 """
 
 from __future__ import annotations
@@ -12,13 +14,25 @@ import math
 
 import numpy as np
 
-from cavent.errors import NumericsError
+from cavent.errors import NumericsError, ParameterError
 
 _EPS_LD = float(np.finfo(np.longdouble).eps)
 _DK_MAX_ITER = 400
 _CLUSTER_TOL = 2e-8
 IMAG_TOL = 1e-8
 
+_FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
+
+
+def spin_flipped(rho):
+    """Y rho Y for real symmetric rho, Y = sigma_y x sigma_y: entries
+    s_i s_j rho[3-i, 3-j] with signs s = (-1, 1, 1, -1).  rho is one 4x4
+    matrix or a (..., 4, 4) stack, each matrix flipped alone; other shapes
+    raise ParameterError."""
+    rho = np.asarray(rho, dtype=float)
+    if rho.ndim < 2 or rho.shape[-2:] != (4, 4):
+        raise ParameterError(f"expected a 4x4 matrix or a stack of them, got shape {rho.shape}")
+    return np.outer(_FLIP_SIGNS, _FLIP_SIGNS) * rho[..., ::-1, ::-1]
 
 
 def _characteristic_coefficients(m):

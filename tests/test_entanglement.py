@@ -12,11 +12,10 @@ from cavent import (
     concurrence,
     eof_from_concurrence,
     gamma_coefficients,
-    spin_flipped,
     squeezed_distribution,
 )
 from cavent.entanglement import EIG_HARD_TOL, _factor, _pivoted_factor
-from quartic_oracle import quartic_eigenvalues
+from quartic_oracle import quartic_eigenvalues, spin_flipped
 
 # -x log2 x - (1-x) log2 (1-x) at x = 0.9, frozen from a direct evaluation
 H_OF_09 = 0.46899559358928117
@@ -129,6 +128,12 @@ class TestConcurrence:
         rho[0, 0] = float("nan")
         with pytest.raises(NumericsError):
             concurrence(rho)
+
+    def test_rejects_complex_input(self):
+        # (|eg> + i|ge>) / sqrt(2) has C = 1; its real part alone has C = 0
+        psi = np.array([0.0, 1.0, 1.0j, 0.0]) / math.sqrt(2.0)
+        with pytest.raises(ParameterError, match="real symmetric"):
+            concurrence(np.outer(psi, psi.conj()))
 
     def test_range_on_random_states(self, make_random_density):
         rng = np.random.default_rng(11)
@@ -243,6 +248,23 @@ class TestPositiveSemidefiniteGate:
         with pytest.raises(NumericsError, match="eigenvalue") as info:
             concurrence(stack)
         assert float(str(info.value).split()[1]) == pytest.approx(-2e-8, abs=1e-15)
+
+    def test_refuses_it_on_a_large_scale(self):
+        # 16 eps * max diag is 3.6e-8 here, wider than the bound; the
+        # factor check caps it at EIG_HARD_TOL / 4
+        rho = np.diag([1e7, 1e7, 1e7, -2e-8])
+        with pytest.raises(NumericsError, match="eigenvalue") as info:
+            concurrence(rho)
+        assert float(str(info.value).split()[1]) == -2e-8
+
+    def test_a_nan_remainder_takes_eigh(self, monkeypatch, make_random_density):
+        rho = make_random_density(np.random.default_rng(6))
+        w = _pivoted_factor(rho[None])[0]
+        monkeypatch.setattr(
+            "cavent.entanglement._pivoted_factor", lambda stack: (w.copy(), np.full(1, np.nan))
+        )
+        values, vectors = np.linalg.eigh(rho)
+        assert np.array_equal(_factor(rho[None])[0], vectors * np.sqrt(np.maximum(values, 0.0)))
 
     def test_accepts_roundoff_alone_and_inside_a_stack(self, make_random_density):
         rho = rotated(np.diag([0.6, 0.4, 5e-9, -5e-9]), 0.3, 0.8)

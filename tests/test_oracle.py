@@ -14,14 +14,13 @@ from cavent import (
     gamma_coefficients,
     run_oracle_check,
     solve_alpha_for_mean,
-    spin_flipped,
     squeezed_distribution,
     trace_out_field,
     tripartite_state,
 )
 from cavent.dynamics import PHASE_TOL, _blocks
 
-from quartic_oracle import quartic_eigenvalues
+from quartic_oracle import quartic_eigenvalues, spin_flipped
 
 
 # sigma_y x sigma_y, written out rather than taken from the production code
@@ -172,6 +171,11 @@ class TestTraceOutField:
         rho_sum = assemble_rho(gamma_coefficients(dist, 0.7))
         rho_oracle = trace_out_field(tripartite_state(dist, 0.7))
         assert np.max(np.abs(rho_sum - rho_oracle)) < 1e-10
+
+    @pytest.mark.parametrize("shape", [(3, 5), (5,), (3, 2, 5), (2, 3, 5), (1, 4, 5)])
+    def test_rejects_a_shape_without_2x2_levels(self, shape):
+        with pytest.raises(ParameterError):
+            trace_out_field(np.zeros(shape))
 
     def test_is_gram_symmetric(self):
         dist = squeezed_distribution(SqueezedParams(1.5, 0.4))
