@@ -4,8 +4,8 @@ Two excited two-level atoms cross a lossless single-mode cavity one after the
 other.  The resonant Jaynes-Cummings interaction entangles them through the
 field; this package computes the emerging mixed two-atom state and its
 Wootters concurrence / entanglement of formation for coherent and squeezed
-coherent cavity fields, together with an independent Fock-space oracle and a
-CSV-emitting command line.
+coherent cavity fields, with an independent Fock-space oracle.  The commands
+and their CSV output live in `cavent.cli`, which `import cavent` does not load.
 """
 
 from .dynamics import BASIS, GammaCoefficients, assemble_rho, gamma_coefficients
@@ -20,40 +20,24 @@ from .fields import (
     squeezed_distribution,
 )
 from .oracle import trace_out_field, tripartite_state
-from .cli import (
-    CompareResult,
-    OracleReport,
-    SweepConfig,
-    SweepResult,
-    run_compare,
-    run_oracle_check,
-    run_sweep,
-)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BASIS",
     "CaventError",
-    "CompareResult",
     "GammaCoefficients",
     "NumericsError",
-    "OracleReport",
     "ParameterError",
     "PhotonDistribution",
     "QuadratureVariances",
     "SqueezedParams",
-    "SweepConfig",
-    "SweepResult",
     "assemble_rho",
     "binary_entropy",
     "concurrence",
     "eof_from_concurrence",
     "gamma_coefficients",
     "quadrature_variances",
-    "run_compare",
-    "run_oracle_check",
-    "run_sweep",
     "solve_alpha_for_mean",
     "squeezed_distribution",
     "trace_out_field",

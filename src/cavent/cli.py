@@ -50,7 +50,8 @@ class SweepConfig:
     meaningful for the squeezed field.  Construction checks what only the
     configuration knows: the field kind, the amplitude inputs, r with the
     coherent field, finite, ordered grid ends, and an integer number of
-    steps, at least two (a bool is not an integer here).
+    steps, at least two and few enough for numpy to size the grid (a bool is
+    not an integer here).
     Every other value is checked where it is consumed, when the sweep runs:
     alpha and r by `SqueezedParams`, target_mean and r by
     `solve_alpha_for_mean`, tail_tol by the photon distribution, and the
@@ -85,6 +86,9 @@ class SweepConfig:
             raise ParameterError(f"gt_steps must be an integer, got {self.gt_steps!r}")
         if self.gt_steps < 2:
             raise ParameterError(f"gt_steps must be >= 2, got {self.gt_steps}")
+        # numpy cannot size a float64 array of more bytes than an index counts
+        if self.gt_steps > np.iinfo(np.intp).max // 8:
+            raise ParameterError(f"gt_steps={self.gt_steps} is too large for a grid array")
 
     def resolved_alpha(self) -> float:
         if self.alpha is not None:

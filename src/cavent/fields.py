@@ -56,6 +56,12 @@ def _exact_sum(arr) -> float:
     return math.fsum(np.sort(arr)[::-1].tolist())
 
 
+def _terms_exhausted(tail_tol) -> NumericsError:
+    return NumericsError(
+        f"photon distribution did not reach tail tolerance {tail_tol} within {_MAX_TERMS} terms"
+    )
+
+
 def _require_finite(name, value):
     if not math.isfinite(value):
         raise ParameterError(f"{name} must be finite, got {value!r}")
@@ -63,7 +69,8 @@ def _require_finite(name, value):
 
 @dataclass(frozen=True)
 class SqueezedParams:
-    """Real amplitude alpha >= 0 and squeezing parameter r >= 0.
+    """Real amplitude alpha >= 0 and squeezing parameter r >= 0, with cosh r
+    finite in double precision (r below about 710.48).
 
     r < 0 (the super-Poissonian regime) needs a complex Hermite argument and a
     phase convention we do not support; it is rejected rather than guessed.
@@ -81,6 +88,10 @@ class SqueezedParams:
             raise ParameterError(
                 f"r < 0 is an unsupported regime (got r={self.r}); only r >= 0 is implemented"
             )
+        try:
+            math.cosh(self.r)
+        except OverflowError:
+            raise ParameterError(f"r={self.r} is too large: cosh(r) overflows a double") from None
 
     @property
     def mu(self) -> float:
@@ -151,6 +162,12 @@ def squeezed_distribution(
         raise ParameterError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
     mu, nu, beta = params.mu, params.nu, params.beta
     mean = params.alpha * params.alpha + nu * nu
+    # The mass lies around n = mean, a share of it of order one at n >= mean
+    # (half for a bright coherent field, a third for a strongly squeezed one):
+    # a field whose mean is not below _MAX_TERMS, or is infinite, cannot be
+    # gathered by the loop below, and its seed may not even be representable.
+    if not mean < _MAX_TERMS:
+        raise _terms_exhausted(tail_tol)
     exponent = -0.5 * beta * beta * (1.0 - nu / mu)
     c_prev = 0.0
     c_cur = math.exp(exponent) / math.sqrt(mu)
@@ -186,10 +203,7 @@ def squeezed_distribution(
             c_prev, c_cur = math.ldexp(c_prev, -drop), math.ldexp(c_cur, -drop)
             shift -= drop
     else:
-        raise NumericsError(
-            f"photon distribution did not reach tail tolerance {tail_tol} "
-            f"within {_MAX_TERMS} terms"
-        )
+        raise _terms_exhausted(tail_tol)
     while len(probs) > 1 and probs[-1] == 0.0:
         probs.pop()
     arr = np.array(probs)
@@ -239,7 +253,10 @@ def solve_alpha_for_mean(target_mean: float, r: float) -> float:
         raise ParameterError(f"target_mean must be >= 0, got {target_mean}")
     if r < 0.0:
         raise ParameterError(f"r must be >= 0, got {r}")
-    squeeze_mean = math.sinh(r) ** 2
+    try:
+        squeeze_mean = math.sinh(r) ** 2
+    except OverflowError:  # from r ~ 355.4: more than any finite mean
+        squeeze_mean = math.inf
     if target_mean < squeeze_mean:
         raise ParameterError(
             f"target mean {target_mean} is infeasible: squeezing r={r} alone "

@@ -11,19 +11,16 @@ import pytest
 
 from cavent import (
     SqueezedParams,
-    SweepConfig,
     assemble_rho,
     concurrence,
     eof_from_concurrence,
     gamma_coefficients,
-    run_compare,
-    run_sweep,
     solve_alpha_for_mean,
     squeezed_distribution,
     trace_out_field,
     tripartite_state,
 )
-from cavent.cli import main
+from cavent.cli import SweepConfig, main, run_compare, run_sweep
 from quartic_oracle import quartic_eigenvalues, spin_flipped
 
 # mean photon numbers under test, with a feasible squeezing for each

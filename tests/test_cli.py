@@ -4,19 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from cavent import (
-    ParameterError,
+from cavent import ParameterError, eof_from_concurrence
+from cavent.cli import (
+    OracleReport,
     SweepConfig,
     SweepResult,
-    eof_from_concurrence,
+    format_oracle_report,
+    main,
     run_compare,
     run_oracle_check,
     run_sweep,
-)
-from cavent.cli import (
-    OracleReport,
-    format_oracle_report,
-    main,
     write_compare_csv,
     write_sweep_csv,
 )
@@ -50,6 +47,9 @@ class TestSweepConfig:
             small_cfg(gt_start=5.0, gt_end=1.0)
         with pytest.raises(ParameterError):
             small_cfg(gt_steps=1)
+        # np.linspace would raise a bare ValueError; never try a count it would allocate
+        with pytest.raises(ParameterError):
+            small_cfg(gt_steps=99999999999999999999)
         with pytest.raises(ParameterError):
             small_cfg(gt_end=math.inf)
         # negative angles are refused by the dynamics layer when the sweep runs
@@ -348,15 +348,23 @@ class TestMain:
         assert main(["sweep", "--field", "coherent", "--alpha", "1", "--bogus"]) == 1
         capsys.readouterr()
 
-    def test_numerical_errors_exit_2(self, capsys):
-        code = main(
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["sweep", "--field", "coherent", "--alpha", "0.5", "--tail-tol", "1e-17",
-             "--steps", "3"]
-        )
+             "--steps", "3"],
+            # alpha^2 overflows a double
+            ["sweep", "--field", "coherent", "--alpha", "1e200", "--steps", "3"],
+        ],
+        ids=" ".join,
+    )
+    def test_numerical_errors_exit_2(self, argv, capsys):
+        code = main(argv)
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert "numerical error" in captured.err
+        assert captured.err.startswith("cavent: numerical error: ")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv",
@@ -378,6 +386,10 @@ class TestMain:
             ["compare", "--mean", "-1", "--r", "0.5", "--steps", "3"],
             ["compare", "--mean", "5", "--r", "-0.2", "--steps", "3"],
             ["compare", "--mean", "5", "--r", "0.5", "--tail-tol", "2", "--steps", "3"],
+            # cosh(r) overflows, sinh(r)^2 overflows, numpy cannot size the grid
+            ["oracle-check", "--field", "squeezed", "--alpha", "1", "--r", "711", "--steps", "3"],
+            ["compare", "--mean", "1", "--r", "356", "--steps", "3"],
+            ["sweep", "--field", "coherent", "--alpha", "2", "--steps", "99999999999999999999"],
         ],
         ids=" ".join,
     )
@@ -386,7 +398,8 @@ class TestMain:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert "configuration error" in captured.err
+        assert captured.err.startswith("cavent: configuration error: ")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv",

@@ -220,6 +220,18 @@ class TestSqueezedDistribution:
         with pytest.raises(ParameterError):
             SqueezedParams(1.0, -0.1)
 
+    @pytest.mark.parametrize("r", [711.0, 1e300])
+    def test_rejects_squeezing_whose_cosh_overflows(self, r):
+        # cosh overflows a double from r ~ 710.48
+        with pytest.raises(ParameterError, match="cosh"):
+            SqueezedParams(1.0, r)
+
+    @pytest.mark.parametrize("alpha,r", [(1e200, 0.0), (1e154, 0.0), (1.0, 710.0)])
+    def test_mean_beyond_the_term_cap_is_refused(self, alpha, r):
+        # alpha^2 overflows at 1e200, sinh^2(r) at r = 710; at 1e154 the mean is 1e308
+        with pytest.raises(NumericsError, match="within 200000 terms"):
+            squeezed_distribution(SqueezedParams(alpha, r))
+
     def test_vacuum_mean_is_zero(self):
         assert mean_photon(squeezed_distribution(SqueezedParams(0.0, 0.0))) == 0.0
 
@@ -349,9 +361,11 @@ class TestSolveAlphaForMean:
         assert alpha == pytest.approx(0.168699978044984, abs=1e-12)
         assert alpha * alpha + math.sinh(0.5) ** 2 == pytest.approx(0.3, abs=1e-15)
 
-    def test_infeasible_target(self):
-        with pytest.raises(ParameterError):
-            solve_alpha_for_mean(0.1, 1.0)  # sinh^2(1) ~ 1.381 > 0.1
+    # sinh^2(1) ~ 1.381 > 0.1; sinh(r)^2 overflows from r ~ 355.4, sinh(r) from 710.48
+    @pytest.mark.parametrize("target,r", [(0.1, 1.0), (1.0, 356.0), (1.0, 711.0)])
+    def test_infeasible_target(self, target, r):
+        with pytest.raises(ParameterError, match="is infeasible"):
+            solve_alpha_for_mean(target, r)
 
     def test_boundary_target(self):
         assert solve_alpha_for_mean(math.sinh(1.0) ** 2, 1.0) == 0.0

@@ -2,8 +2,8 @@
 
 * numpy is the only third-party runtime dependency: every import in
   `src/cavent` is from the standard library, numpy or `cavent` itself;
-* the library does not import the command line: only `__init__`,
-  `__main__` and `cli` itself import `cavent.cli`;
+* the library does not import the command line: only `__main__` and `cli`
+  itself import `cavent.cli`, so `import cavent` leaves it unloaded;
 * the benchmark's view of the library holds: every `from cavent... import
   name` in `perfbench/` resolves, and `cavent.cli` binds the layer functions
   that the benchmark's tracer wraps there (an unbound one would silently read
@@ -12,6 +12,8 @@
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -20,7 +22,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cavent"
 MODULES = sorted(PACKAGE.glob("*.py"))
-CLI_IMPORTERS = {"__init__", "__main__", "cli"}
+CLI_IMPORTERS = {"__main__", "cli"}
 BENCHMARK_SCRIPTS = sorted((ROOT / "perfbench").glob("*.py"))
 # the functions perfbench/layers.py's LAYERS wraps in cavent.cli, and the
 # entry points perfbench/run.py calls there
@@ -101,6 +103,15 @@ def test_imports_only_stdlib_numpy_and_cavent(path):
 )
 def test_library_does_not_import_cli(path):
     assert "cavent.cli" not in imported_modules(path)
+
+
+def test_importing_the_package_leaves_the_cli_unloaded():
+    code = "import cavent, sys; print('cavent.cli' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert proc.stdout == "False\n"
 
 
 def test_benchmark_imports_found():

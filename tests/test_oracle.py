@@ -8,16 +8,15 @@ from cavent import (
     NumericsError,
     ParameterError,
     SqueezedParams,
-    SweepConfig,
     assemble_rho,
     concurrence,
     gamma_coefficients,
-    run_oracle_check,
     solve_alpha_for_mean,
     squeezed_distribution,
     trace_out_field,
     tripartite_state,
 )
+from cavent.cli import SweepConfig, run_oracle_check
 from cavent.dynamics import PHASE_TOL, _blocks
 
 from quartic_oracle import quartic_eigenvalues, spin_flipped
