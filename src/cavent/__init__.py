@@ -13,9 +13,7 @@ from .entanglement import binary_entropy, concurrence, eof_from_concurrence
 from .errors import CaventError, NumericsError, ParameterError
 from .fields import (
     PhotonDistribution,
-    QuadratureVariances,
     SqueezedParams,
-    quadrature_variances,
     solve_alpha_for_mean,
     squeezed_distribution,
 )
@@ -30,14 +28,12 @@ __all__ = [
     "NumericsError",
     "ParameterError",
     "PhotonDistribution",
-    "QuadratureVariances",
     "SqueezedParams",
     "assemble_rho",
     "binary_entropy",
     "concurrence",
     "eof_from_concurrence",
     "gamma_coefficients",
-    "quadrature_variances",
     "solve_alpha_for_mean",
     "squeezed_distribution",
     "trace_out_field",

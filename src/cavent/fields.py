@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -72,8 +71,9 @@ class SqueezedParams:
     """Real amplitude alpha >= 0 and squeezing parameter r >= 0, with cosh r
     finite in double precision (r below about 710.48).
 
-    r < 0 (the super-Poissonian regime) needs a complex Hermite argument and a
-    phase convention we do not support; it is rejected rather than guessed.
+    r < 0 (phase squeezing, a super-Poissonian field) stays refused until it is
+    checked against an independent reference (ROADMAP item 10); the recurrence
+    itself needs no complex argument there.
     """
 
     alpha: float
@@ -93,26 +93,15 @@ class SqueezedParams:
         except OverflowError:
             raise ParameterError(f"r={self.r} is too large: cosh(r) overflows a double") from None
 
-    @property
-    def mu(self) -> float:
-        return math.cosh(self.r)
-
-    @property
-    def nu(self) -> float:
-        return math.sinh(self.r)
-
-    @property
-    def beta(self) -> float:
-        return (self.mu + self.nu) * self.alpha
-
 
 @dataclass(frozen=True, eq=False)
 class PhotonDistribution:
     """Truncated photon-number distribution.
 
-    probs[n] is the probability of n photons for n = 0..n_max; tail_mass is
-    the probability discarded by the truncation (always >= 0 and at most the
-    construction tolerance).  The probability vector is read-only.
+    probs[n] is the probability of n photons for n = 0..n_max; sum(probs) +
+    tail_mass must be 1 within 1e-6.  squeezed_distribution sets tail_mass to
+    1 - sum of its renormalized vector (0, 2^-53 or 2^-52), not to the mass
+    the truncation discarded (ROADMAP item 4).  The vector is read-only.
     """
 
     probs: np.ndarray
@@ -126,19 +115,15 @@ class PhotonDistribution:
             raise ParameterError("every probability must lie in [0, 1]")
         if not (0.0 <= self.tail_mass <= 1.0):
             raise ParameterError(f"tail_mass must lie in [0, 1], got {self.tail_mass!r}")
+        total = float(np.sum(arr)) + self.tail_mass
+        if abs(total - 1.0) > _NORM_DRIFT_TOL:
+            raise ParameterError(f"sum(probs) + tail_mass must be 1 within 1e-6, got {total!r}")
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 
     @property
     def n_max(self) -> int:
         return len(self.probs) - 1
-
-
-class QuadratureVariances(NamedTuple):
-    """Pair of field-quadrature standard deviations, da1 * da2 >= 1/4."""
-
-    da1: float
-    da2: float
 
 
 def squeezed_distribution(
@@ -148,19 +133,26 @@ def squeezed_distribution(
 
     P_n = c_n^2 with the Fock amplitudes c_n generated by the three-term
     recurrence (see module docstring); r = 0 gives the coherent field.
-    Normalization is verified, not imposed: if the truncated sum drifts from
-    1 by more than 1e-6 the result is rejected, otherwise the vector is
+    Normalization is verified, not imposed: a truncated sum outside
+    [1 - tail_tol - 1e-6, 1 + 1e-6] is rejected, otherwise the vector is
     renormalized by the measured sum.
 
     The terms are summed with Kahan compensation, and generation stops
     TAIL_MARGIN terms after the cumulative mass first reaches 1 - tail_tol.
     If the running sum stops changing well past the mean (every remaining
     term is below one ulp), nothing more can be gained in double precision
-    and it stops there, refusing a tolerance the plateau does not meet.
+    and it stops there.  A tail_tol below 2^-52 is refused: renormalized,
+    every field leaves 1 - sum at 0, 2^-53 or 2^-52, so roundoff would decide.
     """
     if not (0.0 < tail_tol < 1.0):
         raise ParameterError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
-    mu, nu, beta = params.mu, params.nu, params.beta
+    if tail_tol < sys.float_info.epsilon:
+        raise NumericsError(
+            f"tail tolerance {tail_tol} is unattainable in double precision: "
+            f"it must be at least 2**-52 = {sys.float_info.epsilon!r}"
+        )
+    mu, nu = math.cosh(params.r), math.sinh(params.r)
+    beta = (mu + nu) * params.alpha
     mean = params.alpha * params.alpha + nu * nu
     # The mass lies around n = mean, a share of it of order one at n >= mean
     # (half for a bright coherent field, a third for a strongly squeezed one):
@@ -208,37 +200,22 @@ def squeezed_distribution(
         probs.pop()
     arr = np.array(probs)
     total = _exact_sum(arr)
-    if abs(total - 1.0) > _NORM_DRIFT_TOL:
+    if not 1.0 - tail_tol - _NORM_DRIFT_TOL <= total <= 1.0 + _NORM_DRIFT_TOL:
         raise NumericsError(
             f"squeezed amplitude recurrence lost normalization: sum(P_n) = {total!r} "
             f"for alpha={params.alpha}, r={params.r}"
         )
     # renormalize by the measured sum, exactly rounded whatever the order of
     # the terms (see _exact_sum); while it still exceeds 1 (by a few ulp),
-    # divide by it again, at most 8 more times
+    # divide by it again, at most 8 more times.  Each quotient and the sum
+    # are within a relative 2^-53, so the exact sum of the quotients exceeds
+    # (1 - 2^-53) / (1 + 2^-53) > 1 - 2^-52, and fsum cannot round it lower.
     for _ in range(9):
         arr = arr / total
         total = _exact_sum(arr)
         if not total > 1.0:
             break
-    tail_mass = max(0.0, 1.0 - total)
-    if tail_mass > tail_tol:
-        raise NumericsError(
-            f"tail tolerance {tail_tol} is unattainable in double precision: "
-            f"the truncated distribution leaves tail mass {tail_mass!r}"
-        )
-    return PhotonDistribution(arr, tail_mass)
-
-
-def quadrature_variances(params: SqueezedParams) -> QuadratureVariances:
-    """Quadrature standard deviations (e^-r / 2, e^r / 2) of the squeezed field.
-
-    da2 is derived as 0.25/da1 so the minimum-uncertainty product da1*da2
-    equals 1/4 to within one rounding; r = 0 gives the coherent value
-    (1/2, 1/2) exactly.
-    """
-    da1 = 0.5 * math.exp(-params.r)
-    return QuadratureVariances(da1, 0.25 / da1)
+    return PhotonDistribution(arr, max(0.0, 1.0 - total))
 
 
 def solve_alpha_for_mean(target_mean: float, r: float) -> float:

@@ -353,6 +353,9 @@ class TestMain:
         [
             ["sweep", "--field", "coherent", "--alpha", "0.5", "--tail-tol", "1e-17",
              "--steps", "3"],
+            # below 2^-52, whatever the field
+            ["sweep", "--field", "coherent", "--alpha", "1", "--tail-tol", "1e-300",
+             "--steps", "2"],
             # alpha^2 overflows a double
             ["sweep", "--field", "coherent", "--alpha", "1e200", "--steps", "3"],
         ],
@@ -428,6 +431,25 @@ class TestMain:
         assert code == 2
         assert captured.out == ""
         assert "tail tolerance" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "--mean", "400", "--r", "1", "--gt-end", "50", "--steps", "8",
+             "--tail-tol", "1e-4"],
+            ["sweep", "--field", "coherent", "--mean", "400", "--gt-end", "50", "--steps", "8",
+             "--tail-tol", "1e-5"],
+        ],
+        ids=" ".join,
+    )
+    def test_loose_tail_tolerance_is_accepted(self, argv, capsys):
+        # the truncated sums (0.99999388 and 0.99999898) miss 1 by less than
+        # the tolerance, so they are renormalized, not refused
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert captured.err == ""
+        assert len(captured.out.splitlines()) >= 9
 
     def test_error_leaves_out_file_untouched(self, tmp_path, capsys):
         out = tmp_path / "kept.csv"

@@ -7,13 +7,10 @@ from cavent import (
     NumericsError,
     ParameterError,
     SqueezedParams,
-    quadrature_variances,
     solve_alpha_for_mean,
     squeezed_distribution,
 )
 import cavent.fields as fields
-
-ULP_QUARTER = 2.0**-54  # spacing of doubles at 0.25
 
 
 def mean_photon(dist):
@@ -121,7 +118,7 @@ class TestCoherentDistribution:
             squeezed_distribution(SqueezedParams(1.0, 0.0), tail_tol)
 
     def test_unattainable_tail_tolerance(self):
-        # renormalizing leaves the sum one ulp below 1: tail_mass 1.1e-16
+        # below 2^-52, refused before any term is generated
         with pytest.raises(NumericsError):
             squeezed_distribution(SqueezedParams(0.5, 0.0), 1e-17)
 
@@ -166,6 +163,23 @@ class TestCoherentDistribution:
             PhotonDistribution(np.array([]), 0.0)
         with pytest.raises(ParameterError):
             PhotonDistribution(np.array([1.0]), -1e-3)
+
+    @pytest.mark.parametrize(
+        "probs,tail_mass", [([1.0, 1.0, 1.0], 0.0), ([0.5, 0.3], 0.0), ([0.5, 0.5], 0.1)]
+    )
+    def test_unnormalized_construction_is_refused(self, probs, tail_mass):
+        from cavent import PhotonDistribution
+
+        with pytest.raises(ParameterError, match="must be 1"):
+            PhotonDistribution(np.array(probs), tail_mass)
+
+    @pytest.mark.parametrize(
+        "probs,tail_mass", [([1.0], 0.0), ([0.5, 0.5], 0.0), ([0.5, 0.3], 0.2), ([0.9], 0.1)]
+    )
+    def test_normalized_construction_is_accepted(self, probs, tail_mass):
+        from cavent import PhotonDistribution
+
+        assert PhotonDistribution(np.array(probs), tail_mass).tail_mass == tail_mass
 
 
 class TestSqueezedDistribution:
@@ -281,9 +295,44 @@ class TestBrightSqueezedField:
 
 class TestTailContract:
     def test_squeezed_below_double_precision_raises(self):
-        # renormalizing leaves the sum one ulp below 1: tail_mass 1.1e-16
         with pytest.raises(NumericsError):
             squeezed_distribution(SqueezedParams(1.0, 0.5), 1e-17)
+
+    # ROADMAP item 4's grid: refused by the 2^-52 rule, whichever way the last
+    # bit of the renormalized sum falls
+    @pytest.mark.parametrize("r", [0.1, 0.5, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+    def test_below_double_precision_refused_by_rule(self, alpha, r):
+        with pytest.raises(NumericsError, match="unattainable in double precision"):
+            squeezed_distribution(SqueezedParams(alpha, r), 1e-17)
+
+    @pytest.mark.parametrize("tail_tol", [2.0**-52, 2.0**-53, 1e-300, 5e-324])
+    def test_refusal_threshold_is_two_to_the_minus_52(self, tail_tol):
+        params = SqueezedParams(1.0, 0.5)
+        if tail_tol >= 2.0**-52:
+            assert squeezed_distribution(params, tail_tol).tail_mass <= tail_tol
+        else:
+            with pytest.raises(NumericsError, match="at least 2\\*\\*-52"):
+                squeezed_distribution(params, tail_tol)
+
+    # the bound that makes a refusal after renormalization unreachable for
+    # any tail_tol >= 2^-52: 1 - sum is 0, 2^-53 or 2^-52 for every field
+    @pytest.mark.parametrize("tail_tol", [2.0**-52, 1e-12])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.2, 7.0, 20.0, 30.0])
+    @pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 2.0])
+    def test_renormalized_tail_mass_values(self, alpha, r, tail_tol):
+        dist = squeezed_distribution(SqueezedParams(alpha, r), tail_tol)
+        assert dist.tail_mass in (0.0, 2.0**-53, 2.0**-52)
+
+    # a loose tolerance truncates near the mean, and the kept sum, short of 1
+    # by up to the tolerance, is renormalized, not refused
+    @pytest.mark.parametrize("tail_tol", [1e-5, 1e-4, 1e-3, 0.5])
+    @pytest.mark.parametrize("mean,r", [(400.0, 0.0), (400.0, 1.0), (50.0, 1.0)])
+    def test_loose_tolerance_is_renormalized(self, mean, r, tail_tol):
+        params = SqueezedParams(solve_alpha_for_mean(mean, r), r)
+        dist = squeezed_distribution(params, tail_tol)
+        assert dist.n_max < squeezed_distribution(params).n_max
+        assert abs(math.fsum(dist.probs) - 1.0) <= 2.0**-52
 
     @pytest.mark.parametrize("tail_tol", [1e-12, 1e-15, 1e-16, 1e-17])
     @pytest.mark.parametrize("alpha,r", [(0.0, 0.0), (0.5, 0.0), (0.5, 0.5), (3.0, 1.0), (7.0, 2.0)])
@@ -327,29 +376,6 @@ class TestNormalizationSum:
         else:
             assert np.array_equal(ordered.probs, natural.probs)
             assert ordered.tail_mass == natural.tail_mass
-
-
-class TestQuadratureVariances:
-    def test_coherent_limit(self):
-        da1, da2 = quadrature_variances(SqueezedParams(1.0, 0.0))
-        assert (da1, da2) == (0.5, 0.5)
-
-    def test_unit_squeezing(self):
-        da1, da2 = quadrature_variances(SqueezedParams(0.0, 1.0))
-        assert da1 == pytest.approx(math.exp(-1.0) / 2.0, rel=1e-15)
-        assert da2 == pytest.approx(math.exp(1.0) / 2.0, rel=1e-15)
-
-    def test_half_squeezing_values(self):
-        da1, da2 = quadrature_variances(SqueezedParams(0.0, 0.5))
-        assert da1 == pytest.approx(0.3032653298563167, abs=1e-15)
-        assert da2 == pytest.approx(0.8243606353500641, abs=1e-15)
-
-    @pytest.mark.parametrize("r", np.linspace(0.0, 3.0, 31).tolist())
-    def test_uncertainty_product(self, r):
-        da1, da2 = quadrature_variances(SqueezedParams(0.0, r))
-        assert abs(da1 * da2 - 0.25) <= ULP_QUARTER
-        if r > 1e-12:
-            assert da1 < 0.5 < da2
 
 
 class TestSolveAlphaForMean:
