@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -40,6 +41,23 @@ def exact_poisson(alpha, n_max):
         for n in range(1, n_max + 1):
             terms.append(terms[-1] * m / n)
         return np.array([float(p) for p in terms]), float(1 - mpmath.fsum(terms))
+
+
+@functools.lru_cache(maxsize=None)
+def exact_mass_past(alpha, r, n_end):
+    """40-digit mass past n, for n = 0..n_end, of the squeezed coherent field,
+    from the amplitude recurrence run in mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        mu, nu = mpmath.cosh(r), mpmath.sinh(r)
+        beta = (mu + nu) * mpmath.mpf(alpha)
+        c_prev, c = mpmath.mpf(0), mpmath.exp(-(beta**2) * (1 - nu / mu) / 2) / mpmath.sqrt(mu)
+        past, total = [], mpmath.mpf(0)
+        for n in range(n_end + 1):
+            total += c * c
+            past.append(float(1 - total))
+            c_prev, c = c, (beta * c - nu * mpmath.sqrt(n) * c_prev) / (mu * mpmath.sqrt(n + 1))
+        return past
 
 
 def squeezed_reference(alpha, r, n_max):
@@ -122,16 +140,7 @@ class TestCoherentDistribution:
         with pytest.raises(NumericsError):
             squeezed_distribution(SqueezedParams(0.5, 0.0), 1e-17)
 
-    @pytest.mark.parametrize(
-        "mean",
-        [
-            400,
-            # n_max 5,532 with tail_mass 0.0, but 6.56e-14 discarded: tail_mass
-            # is read off the renormalized vector, whose relative error
-            # (~4e-13) hides the tail (ROADMAP item 4)
-            pytest.param(5000, marks=pytest.mark.xfail(strict=True, reason="tail from 1 - sum")),
-        ],
-    )
+    @pytest.mark.parametrize("mean", [400, 5000])
     def test_tight_tail_tolerance_met(self, mean):
         alpha = math.sqrt(mean)
         dist = squeezed_distribution(SqueezedParams(alpha, 0.0), 1e-15)
@@ -165,7 +174,7 @@ class TestCoherentDistribution:
             PhotonDistribution(np.array([1.0]), -1e-3)
 
     @pytest.mark.parametrize(
-        "probs,tail_mass", [([1.0, 1.0, 1.0], 0.0), ([0.5, 0.3], 0.0), ([0.5, 0.5], 0.1)]
+        "probs,tail_mass", [([1.0, 1.0, 1.0], 0.0), ([0.5, 0.3], 0.0)]
     )
     def test_unnormalized_construction_is_refused(self, probs, tail_mass):
         from cavent import PhotonDistribution
@@ -174,7 +183,8 @@ class TestCoherentDistribution:
             PhotonDistribution(np.array(probs), tail_mass)
 
     @pytest.mark.parametrize(
-        "probs,tail_mass", [([1.0], 0.0), ([0.5, 0.5], 0.0), ([0.5, 0.3], 0.2), ([0.9], 0.1)]
+        "probs,tail_mass",
+        [([1.0], 0.0), ([0.5, 0.5], 0.0), ([0.5, 0.3], 0.2), ([0.9], 0.1), ([0.5, 0.5], 0.1)],
     )
     def test_normalized_construction_is_accepted(self, probs, tail_mass):
         from cavent import PhotonDistribution
@@ -315,14 +325,15 @@ class TestTailContract:
             with pytest.raises(NumericsError, match="at least 2\\*\\*-52"):
                 squeezed_distribution(params, tail_tol)
 
-    # the bound that makes a refusal after renormalization unreachable for
-    # any tail_tol >= 2^-52: 1 - sum is 0, 2^-53 or 2^-52 for every field
+    # one division by the exactly rounded sum leaves each quotient and the
+    # sum within a relative 2^-53, so the renormalized vector sums to 1
+    # within 2^-52
     @pytest.mark.parametrize("tail_tol", [2.0**-52, 1e-12])
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.2, 7.0, 20.0, 30.0])
     @pytest.mark.parametrize("r", [0.0, 0.5, 1.0, 2.0])
     def test_renormalized_tail_mass_values(self, alpha, r, tail_tol):
         dist = squeezed_distribution(SqueezedParams(alpha, r), tail_tol)
-        assert dist.tail_mass in (0.0, 2.0**-53, 2.0**-52)
+        assert abs(math.fsum(dist.probs) - 1.0) <= 2.0**-52
 
     # a loose tolerance truncates near the mean, and the kept sum, short of 1
     # by up to the tolerance, is renormalized, not refused
@@ -344,6 +355,46 @@ class TestTailContract:
             return
         assert dist.tail_mass <= tail_tol
         assert 1.0 - tail_tol <= math.fsum(dist.probs) <= 1.0
+
+
+class TestTailFromTerms:
+    # (alpha, r): means 0.3, 50, 400 and 2000 at every feasible r in 0..3,
+    # and two squeezed vacua
+    FIELDS = [
+        pytest.param(solve_alpha_for_mean(mean, r), r, id=f"mean{mean:g}-r{r:g}")
+        for mean in (0.3, 50.0, 400.0, 2000.0)
+        for r in (0.0, 1.0, 2.0, 3.0)
+        if mean >= math.sinh(r) ** 2
+    ] + [pytest.param(0.0, r, id=f"vacuum-r{r:g}") for r in (0.5, 1.0)]
+    TOLS = [1e-6, 1e-12, 1e-15]
+
+    @classmethod
+    def mass_past(cls, alpha, r):
+        # up to the n_max of the tightest tolerance at the default margin,
+        # the most terms any case here keeps
+        n_end = squeezed_distribution(SqueezedParams(alpha, r), min(cls.TOLS)).n_max
+        return exact_mass_past(alpha, r, n_end)
+
+    @pytest.mark.parametrize("tail_tol", TOLS)
+    @pytest.mark.parametrize("alpha,r", FIELDS)
+    def test_discarded_mass_is_tail_mass(self, alpha, r, tail_tol):
+        past = self.mass_past(alpha, r)
+        dist = squeezed_distribution(SqueezedParams(alpha, r), tail_tol)
+        assert past[dist.n_max] <= tail_tol
+        assert abs(dist.tail_mass - past[dist.n_max]) <= 1e-3 * past[dist.n_max]
+
+    # Cauchy-Schwarz bounds the dropped coherences by the tails:
+    # sum_{n > n_max} sqrt(P_n P_{n-2}) <= sqrt(tail_{n_max+1} tail_{n_max-1}),
+    # tail_m the mass from m on; a margin of 2 puts n_max - 2 at or past the
+    # cut, so both tails are at most tail_tol
+    @pytest.mark.parametrize("margin", [2, fields.TAIL_MARGIN])
+    @pytest.mark.parametrize("tail_tol", TOLS)
+    @pytest.mark.parametrize("alpha,r", FIELDS)
+    def test_dropped_coherences_within_tolerance(self, monkeypatch, alpha, r, tail_tol, margin):
+        past = self.mass_past(alpha, r)
+        monkeypatch.setattr(fields, "TAIL_MARGIN", margin)
+        dist = squeezed_distribution(SqueezedParams(alpha, r), tail_tol)
+        assert math.sqrt(past[dist.n_max] * past[dist.n_max - 2]) <= tail_tol
 
 
 class TestNormalizationSum:
