@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from cavent import SqueezedParams, squeezed_distribution
+
 
 @pytest.fixture
 def bell_state():
@@ -36,3 +38,9 @@ def make_random_density():
         return rho / np.trace(rho)
 
     return build
+
+
+@pytest.fixture
+def vacuum():
+    """The empty cavity: P_0 = 1."""
+    return squeezed_distribution(SqueezedParams(0.0, 0.0))

@@ -23,6 +23,9 @@ IMAG_TOL = 1e-8
 
 _FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
 
+# Y = sigma_y x sigma_y as a real matrix: the signs s on the antidiagonal
+SPIN_FLIP = np.fliplr(np.diag(_FLIP_SIGNS))
+
 
 def spin_flipped(rho):
     """Y rho Y for real symmetric rho, Y = sigma_y x sigma_y: entries

@@ -22,6 +22,7 @@ from cavent import (
 )
 from cavent.cli import SweepConfig, main, run_compare, run_sweep
 from quartic_oracle import quartic_eigenvalues, spin_flipped
+from reference import poisson_reference
 
 # mean photon numbers under test, with a feasible squeezing for each
 MEANS_AND_R = [(0.01, 0.05), (0.3, 0.5), (1.0, 0.75), (5.0, 1.0), (50.0, 1.0)]
@@ -103,20 +104,11 @@ def test_criterion_2_normalization_suite():
     )
 
 
-def _poisson(mean, n_max):
-    """The Poissonian term by term in log space, independent of cavent.fields."""
-    if mean == 0.0:
-        return np.array([1.0] + [0.0] * n_max)
-    return np.array(
-        [math.exp(-mean + n * math.log(mean) - math.lgamma(n + 1)) for n in range(n_max + 1)]
-    )
-
-
 def test_criterion_3_squeezed_to_coherent_reduction():
     worst = 0.0
     for alpha in (0.0, 0.5, 1.0, 3.0, math.sqrt(50.0)):
         squeezed = squeezed_distribution(SqueezedParams(alpha, 0.0))
-        poisson = _poisson(alpha * alpha, squeezed.n_max)
+        poisson = poisson_reference(alpha * alpha, squeezed.n_max)
         worst = max(worst, float(np.max(np.abs(squeezed.probs - poisson))))
     _report(3, worst < 1e-12, f"max pointwise |P_squeezed(r=0) - P_poisson| = {worst:.3e} (<1e-12)")
 

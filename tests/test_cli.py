@@ -422,6 +422,36 @@ class TestMain:
         assert captured.err.startswith(f"cavent: configuration error: cannot write {out}: ")
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize(
+        "runner,argv",
+        [
+            ("run_sweep", ["sweep", "--field", "coherent", "--alpha", "1"]),
+            ("run_compare", ["compare", "--mean", "1", "--r", "0.5"]),
+            ("run_oracle_check", ["oracle-check", "--field", "coherent", "--alpha", "1"]),
+        ],
+        ids=["sweep", "compare", "oracle-check"],
+    )
+    def test_unallocatable_grid_exits_1_without_output(
+        self, runner, argv, monkeypatch, tmp_path, capsys
+    ):
+        # the runner raises what numpy raises for a grid it cannot allocate;
+        # nothing is allocated here, so no host tries to fill such an array
+        import cavent.cli as cli_module
+
+        def out_of_memory(*configs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli_module, runner, out_of_memory)
+        out = tmp_path / "x.csv"
+        code = main(argv + ["--steps", "1000000000000", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "cavent: configuration error: no memory for a grid of 1000000000000 points\n"
+        )
+        assert not out.exists()
+
     def test_unattainable_tail_tolerance_exits_2_without_csv(self, capsys):
         code = main(
             ["sweep", "--field", "squeezed", "--alpha", "0.5", "--tail-tol", "1e-17",

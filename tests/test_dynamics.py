@@ -18,6 +18,7 @@ from cavent import (
 import cavent.dynamics as dynamics
 from cavent.cli import CONCURRENCE_CHECK_TOL
 from cavent.dynamics import PHASE_TOL
+from reference import reference_field
 
 EPS = float(np.finfo(float).eps)
 
@@ -78,15 +79,7 @@ def full_range_sums(dist, grid):
 
 def compare_fields(mean, r):
     """The squeezed (a) and coherent (b) fields of compare at this mean."""
-    return (
-        squeezed_distribution(SqueezedParams(solve_alpha_for_mean(mean, r), r)),
-        squeezed_distribution(SqueezedParams(math.sqrt(mean), 0.0)),
-    )
-
-
-@pytest.fixture
-def vacuum():
-    return squeezed_distribution(SqueezedParams(0.0, 0.0))
+    return reference_field(mean, r), reference_field(mean, 0.0)
 
 
 class TestGammaCoefficients:

@@ -16,6 +16,7 @@ from cavent import (
 )
 from cavent.entanglement import EIG_HARD_TOL, _factor, _pivoted_factor
 from quartic_oracle import quartic_eigenvalues, spin_flipped
+from reference import eigh_route_spectrum, rotated
 
 # -x log2 x - (1-x) log2 (1-x) at x = 0.9, frozen from a direct evaluation
 H_OF_09 = 0.46899559358928117
@@ -24,17 +25,6 @@ EPS = 2.0**-52
 # the concurrence module's documented accuracy of W W^T = rho, in units of
 # eps * max diag(rho), for a positive semidefinite rho
 FACTOR_BOUND = 16
-
-
-def rotated(rho, theta1, theta2):
-    """Conjugate by a product of real single-qubit rotations (a local unitary)."""
-
-    def rot(theta):
-        c, s = math.cos(theta), math.sin(theta)
-        return np.array([[c, -s], [s, c]])
-
-    u = np.kron(rot(theta1), rot(theta2))
-    return u @ rho @ u.T
 
 
 class TestSpinFlipped:
@@ -155,10 +145,7 @@ def rank_two_mixture():
 
 def clamped_concurrence(rho):
     """C from W = V sqrt(max(D, 0)), the eigenvalues of rho clamped to zero."""
-    values, vectors = np.linalg.eigh(rho)
-    w = vectors * np.sqrt(np.maximum(values, 0.0))
-    flip = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))
-    s = np.sort(np.abs(np.linalg.eigvalsh(w.T @ flip @ w)))
+    s = eigh_route_spectrum(rho)
     return s[3] - s[2] - s[1] - s[0]
 
 

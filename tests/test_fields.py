@@ -12,22 +12,12 @@ from cavent import (
     squeezed_distribution,
 )
 import cavent.fields as fields
+from reference import poisson_reference
 
 
 def mean_photon(dist):
     """Mean photon number sum(n * P_n) of a truncated distribution."""
     return math.fsum(np.arange(len(dist.probs)) * dist.probs)
-
-
-def poisson_reference(mean, n_max):
-    """Independent log-space Poissonian, the textbook formula term by term."""
-    if mean == 0.0:
-        out = np.zeros(n_max + 1)
-        out[0] = 1.0
-        return out
-    return np.array(
-        [math.exp(-mean + n * math.log(mean) - math.lgamma(n + 1)) for n in range(n_max + 1)]
-    )
 
 
 def exact_poisson(alpha, n_max):

@@ -11,7 +11,6 @@ from cavent import (
     assemble_rho,
     concurrence,
     gamma_coefficients,
-    solve_alpha_for_mean,
     squeezed_distribution,
     trace_out_field,
     tripartite_state,
@@ -20,17 +19,10 @@ from cavent.cli import SweepConfig, run_oracle_check
 from cavent.dynamics import PHASE_TOL, _blocks
 
 from quartic_oracle import quartic_eigenvalues, spin_flipped
-
-
-# sigma_y x sigma_y, written out rather than taken from the production code
-SPIN_FLIP = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))
+from reference import eigh_route_spectrum, reference_field
 
 # (mean, r, gt_end, steps) of the reference grids
 REFERENCE_GRIDS = [(0.3, 0.5, 10.0, 512), (50.0, 1.0, 50.0, 512), (400.0, 1.0, 50.0, 128)]
-
-
-def reference_field(mean, r):
-    return squeezed_distribution(SqueezedParams(solve_alpha_for_mean(mean, r), r))
 
 
 def fsum_trace(amps):
@@ -46,16 +38,8 @@ def fsum_trace(amps):
 
 def tau_route_squares(rho):
     """Squared eigenvalue magnitudes of W^T Y W with rho = W W^T, descending:
-    the spectrum of rho * spin_flipped(rho) as `concurrence` obtains it."""
-    values, vectors = np.linalg.eigh(rho)
-    w = vectors * np.sqrt(np.clip(values, 0.0, None))
-    s = np.sort(np.abs(np.linalg.eigvalsh(w.T @ SPIN_FLIP @ w)))[::-1]
-    return s * s
-
-
-@pytest.fixture
-def vacuum():
-    return squeezed_distribution(SqueezedParams(0.0, 0.0))
+    the spectrum of rho * spin_flipped(rho) by the eigenvector route."""
+    return eigh_route_spectrum(rho)[::-1] ** 2
 
 
 class TestTripartiteAmplitudes:

@@ -16,6 +16,7 @@ from cavent import (
     gamma_coefficients,
     squeezed_distribution,
 )
+from reference import rotated
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -44,11 +45,6 @@ def density(factors, mixing):
     return (1.0 - mixing) * pure + mixing * np.eye(4) / 4.0
 
 
-def rotation(theta):
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
 @settings
 @hypothesis.given(gram_factors, st.floats(0.0, 1.0))
 def test_concurrence_lies_in_unit_interval(factors, mixing):
@@ -61,10 +57,9 @@ def test_concurrence_invariant_under_local_rotations(factors, mixing, theta1, th
     # mixing >= 0.01 keeps rho full rank: at a rank-deficient rho, C moves by
     # about the square root of a perturbation, so roundoff alone is not small
     rho = density(factors, mixing)
-    u = np.kron(rotation(theta1), rotation(theta2))
-    rotated = u @ rho @ u.T
-    rotated = 0.5 * (rotated + rotated.T)
-    assert concurrence(rotated) == pytest.approx(concurrence(rho), abs=1e-10)
+    turned = rotated(rho, theta1, theta2)
+    turned = 0.5 * (turned + turned.T)
+    assert concurrence(turned) == pytest.approx(concurrence(rho), abs=1e-10)
 
 
 @settings

@@ -9,26 +9,31 @@ double-precision concurrence route alone; evaluated on the Fock oracle's rho,
 whose entries are within 8.9e-16 of exactly rounded (math.fsum) sums over the
 field and whose trig factors are libm's cos and sin, it also measures the
 error of the gamma sums' dot products and of their tangent-derived trig
-factors.  mpmath is a test-only dependency.
+factors.  Evaluated on `exact_rho`, the four-branch table of the program's
+own photon distribution in 30-digit arithmetic, it is the yardstick of the
+rho and C steps together: the program's rho and C are each compared with it.
+mpmath is a test-only dependency.
 """
 
 import numpy as np
 import pytest
 
 from cavent import (
-    SqueezedParams,
     assemble_rho,
     concurrence,
     gamma_coefficients,
-    solve_alpha_for_mean,
-    squeezed_distribution,
     trace_out_field,
     tripartite_state,
 )
+from reference import exact_rho, reference_concurrence, reference_field
 
 mpmath = pytest.importorskip("mpmath")
 
 REFERENCE_TOL = 1e-14
+# the program's rho and C against the exact branch table of the same
+# photon distribution; the worst readings, both at mean 400, r 1, are
+# 1.36e-14 in rho and 1.10e-14 in C
+YARDSTICK_TOL = 2e-14
 
 # (field, mean, r, gt_end, steps): the compare --mean 400 --r 1 --gt-end 50
 # --steps 128 fields, the oracle-check --field squeezed --mean 50 --r 1
@@ -46,19 +51,7 @@ CONFIGS = {
 def _grid(name):
     # a coherent field is the squeezed field at r = 0
     _, mean, r, gt_end, steps = CONFIGS[name]
-    dist = squeezed_distribution(SqueezedParams(solve_alpha_for_mean(mean, r), r))
-    return dist, np.linspace(0.0, gt_end, steps)
-
-
-def reference_concurrence(rho):
-    with mpmath.workdps(40):
-        m = mpmath.matrix(rho.tolist())
-        flip = mpmath.matrix(4, 4)
-        for i, sign in enumerate((-1, 1, 1, -1)):
-            flip[i, 3 - i] = sign
-        lam = mpmath.eig(m * flip * m * flip, left=False, right=False)
-        rt = sorted((mpmath.sqrt(max(mpmath.re(x), 0)) for x in lam), reverse=True)
-        return float(max(0, rt[0] - rt[1] - rt[2] - rt[3]))
+    return reference_field(mean, r), np.linspace(0.0, gt_end, steps)
 
 
 # the grid points where the symmetrized sqrt(rho) route erred most:
@@ -97,3 +90,16 @@ def test_strided_grid_against_the_fock_oracle(name):
     for gt, c in zip(strided.tolist(), values.tolist()):
         rho = trace_out_field(tripartite_state(dist, gt))
         assert abs(c - reference_concurrence(rho)) < REFERENCE_TOL
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_strided_grid_against_the_exact_branch_table(name):
+    dist, grid = _grid(name)
+    strided = grid[1::len(grid) // 16]
+    rho = assemble_rho(gamma_coefficients(dist, strided))
+    values = concurrence(rho)
+    for gt, program, c in zip(strided.tolist(), rho.tolist(), values.tolist()):
+        exact = exact_rho(dist, gt)
+        deviation = max(abs(exact[i, j] - program[i][j]) for i in range(4) for j in range(4))
+        assert deviation < YARDSTICK_TOL
+        assert abs(c - reference_concurrence(exact)) < YARDSTICK_TOL
