@@ -9,7 +9,7 @@ and their CSV output live in `cavent.cli`, which `import cavent` does not load.
 """
 
 from .dynamics import BASIS, GammaCoefficients, assemble_rho, gamma_coefficients
-from .entanglement import binary_entropy, concurrence, eof_from_concurrence
+from .entanglement import concurrence, eof_from_concurrence
 from .errors import CaventError, NumericsError, ParameterError
 from .fields import (
     PhotonDistribution,
@@ -30,7 +30,6 @@ __all__ = [
     "PhotonDistribution",
     "SqueezedParams",
     "assemble_rho",
-    "binary_entropy",
     "concurrence",
     "eof_from_concurrence",
     "gamma_coefficients",

@@ -20,25 +20,27 @@ factorization of a matrix stops at its first pivot at or below
 remaining columns of W are zero: such a pivot is roundoff in a rank-deficient
 rho (a pure or rank-2 state).  Each factor is then checked: the remainder
 R = rho - W W^T that the four steps leave must lie within
-min(16 * 2^-52 * max diag(rho), EIG_HARD_TOL / 4), which a positive
-semidefinite density matrix meets (max diag <= 1 puts the bound at 3.6e-15).
+16 * 2^-52 * max diag(rho), which a positive semidefinite density matrix meets.
 
-That check is the one positive semidefiniteness decision.  A density matrix
-must be positive semidefinite; eigenvalues down to -1e-8 (EIG_HARD_TOL) are
-roundoff and tolerated.  A kept factor certifies it: ||R||_2 <= 4 max|R_ij|
-<= EIG_HARD_TOL, so the lowest eigenvalue of rho = W W^T + R is at least
--EIG_HARD_TOL up to roundoff.  A tolerated negative eigenvalue beyond
+A density matrix has trace 1 within 1e-6, the drift PhotonDistribution's
+sum rule allows, and is positive semidefinite; eigenvalues down to -1e-8
+(EIG_HARD_TOL) are roundoff and tolerated.  The factor check is the one
+positive semidefiniteness decision.  A kept factor certifies it:
+||R||_2 <= 4 max|R_ij| <= 64 * 2^-52 * max diag(rho), and max diag(rho) is at
+most about the trace, 1, since W W^T is positive semidefinite; so the lowest
+eigenvalue of rho = W W^T + R is at least -1.5e-14, far above -EIG_HARD_TOL,
+up to roundoff.  A tolerated negative eigenvalue beyond
 roundoff misses the check (there a small pivot of an indefinite remainder can
 meet a larger off-diagonal entry and blow its column up), and so does a
 remainder that is not finite; such a matrix goes to LAPACK's eigh.  The stack
 is refused when the lowest of those eigenvalues is below -EIG_HARD_TOL,
 naming it; otherwise the matrix takes W = V sqrt(max(D, 0)), its negative
 eigenvalues clamped to zero.  Every density matrix thus takes one LAPACK
-eigensolve, of tau.  A non-finite entry or complex input is refused too.
+eigensolve, of tau.  A non-finite entry, complex input or a trace other than
+1 is refused too.
 
-E_F = h((1 + sqrt(1 - C^2)) / 2) with h the binary entropy; both take a float
-(giving a float) or an array (giving an array), and their outputs are clamped
-to [0, 1].
+E_F = h((1 + sqrt(1 - C^2)) / 2), h the binary entropy, takes a float (giving
+a float) or an array (giving an array), and its output is clamped to [0, 1].
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ EIG_HARD_TOL = 1e-8
 _PIVOT_TOL = 4 * 2.0**-53
 
 # a factor is kept when its remainder rho - W W^T lies within this times
-# max diag(rho), and within EIG_HARD_TOL / 4
+# max diag(rho)
 _FACTOR_TOL = 16 * 2.0**-52
 
 _FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
@@ -106,15 +108,14 @@ def _pivoted_factor(stack):
 
 def _factor(stack):
     """W with W W^T = rho for each matrix of an (N, 4, 4) stack: the pivoted
-    Cholesky factor where its remainder is within min(_FACTOR_TOL * max
-    diag(rho), EIG_HARD_TOL / 4), else V sqrt(max(D, 0)) from eigh.  Raises
-    NumericsError naming the lowest eigenvalue when one of those eigh
-    matrices has an eigenvalue below -EIG_HARD_TOL (see the module
-    docstring)."""
+    Cholesky factor where its remainder is within _FACTOR_TOL * max diag(rho),
+    else V sqrt(max(D, 0)) from eigh.  Raises NumericsError naming the lowest
+    eigenvalue when one of those eigh matrices has an eigenvalue below
+    -EIG_HARD_TOL (see the module docstring)."""
     w, left = _pivoted_factor(stack)
     scale = np.max(np.diagonal(stack, axis1=-2, axis2=-1), axis=-1)
     # a NaN remainder is a miss too
-    miss = ~(left <= np.minimum(_FACTOR_TOL * scale, 0.25 * EIG_HARD_TOL))
+    miss = ~(left <= _FACTOR_TOL * scale)
     if np.any(miss):
         values, vectors = np.linalg.eigh(stack[miss])
         lowest = float(np.min(values[:, 0]))
@@ -130,22 +131,19 @@ def _factor(stack):
 def concurrence(rho: np.ndarray) -> float | np.ndarray:
     """Wootters concurrence of a real symmetric two-qubit density matrix.
 
-    Factors rho = W W^T by diagonally pivoted Cholesky, stopping at the first
-    pivot at or below 4 * 2^-53 * max diag(rho) (LAPACK dpstrf's default);
-    a matrix whose factor leaves a remainder rho - W W^T beyond
-    min(16 * 2^-52 * max diag(rho), EIG_HARD_TOL / 4) (only an indefinite
-    one) takes W = V sqrt(max(D, 0)) from eigh instead.
-    It takes s_1 >= ... >= s_4, the eigenvalue magnitudes of W^T Y W (the
+    Factors rho = W W^T (the pivoted Cholesky factor, or for an indefinite
+    rho W = V sqrt(max(D, 0)) from eigh; see the module docstring) and takes
+    s_1 >= ... >= s_4, the eigenvalue magnitudes of W^T Y W (the
     square roots of the eigenvalues of rho * (Y rho Y)), from one LAPACK
     eigensolve per matrix; the result is s_1 - s_2 - s_3 - s_4 clamped to
     [0, 1].  rho is one 4x4 matrix, giving a float, or a (..., 4, 4) stack,
     giving an array of the leading shape; a matrix is computed the same way
     alone or in a stack, and the input is not modified.  Complex input, an
-    input whose last two axes are not 4x4, or a matrix not symmetric within
-    1e-12 raises ParameterError; a non-finite entry, or a matrix taken to
-    eigh with an eigenvalue below -EIG_HARD_TOL (which a kept factor rules
-    out up to roundoff), raises NumericsError, the latter naming the lowest
-    eigenvalue.
+    input whose last two axes are not 4x4, a matrix not symmetric within
+    1e-12, or one whose trace is not 1 within 1e-6 raises ParameterError, the
+    last naming the first such trace; a non-finite entry, or a matrix taken
+    to eigh with an eigenvalue below -EIG_HARD_TOL, raises NumericsError, the
+    latter naming the lowest eigenvalue.
     """
     rho = np.asarray(rho)
     if np.iscomplexobj(rho):
@@ -157,6 +155,10 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
         raise NumericsError("matrix entry is not finite; the input was not a valid density matrix")
     if np.any(np.abs(rho - np.swapaxes(rho, -1, -2)) > _SYMMETRY_TOL):
         raise ParameterError("matrix is not symmetric within 1e-12")
+    trace = np.trace(rho, axis1=-2, axis2=-1)
+    off = np.abs(trace - 1.0) > 1e-6
+    if np.any(off):
+        raise ParameterError(f"matrix trace {float(trace[off][0])!r} is not 1 within 1e-6")
     w = _factor(rho.reshape(-1, 4, 4))
     tau = np.swapaxes(w, -1, -2) @ (_FLIP_SIGNS[:, None] * w[:, ::-1])
     s = np.sort(np.abs(np.linalg.eigvalsh(tau)), axis=-1)
@@ -164,13 +166,13 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
     return _float_or_array(c.reshape(rho.shape[:-2]))
 
 
-def _unit_interval(what, x):
+def _unit_interval(x):
     """x as an array clamped to [0, 1]; ParameterError unless every entry is
     finite and within 1e-12 of it."""
     x = np.asarray(x, dtype=float)
     bad = ~((x >= -1e-12) & (x <= 1.0 + 1e-12))
     if np.any(bad):
-        raise ParameterError(f"{what} must lie in [0, 1], got {float(x[bad][0])!r}")
+        raise ParameterError(f"concurrence must lie in [0, 1], got {float(x[bad][0])!r}")
     return np.clip(x, 0.0, 1.0)
 
 
@@ -183,16 +185,6 @@ def _entropy(x):
     return 0.0 - (x_log_x + y_log_y) / _LN2
 
 
-def binary_entropy(x: float | np.ndarray) -> float | np.ndarray:
-    """h(x) = -x log2 x - (1-x) log2 (1-x), with the 0 log 0 = 0 convention.
-
-    x is a float, giving a float, or an array, giving an array of its shape.
-    An x within 1e-12 of [0, 1] is clamped into it; any other x, or a
-    non-finite one, raises ParameterError.
-    """
-    return _float_or_array(_entropy(_unit_interval("binary_entropy argument", x)))
-
-
 def eof_from_concurrence(c: float | np.ndarray) -> float | np.ndarray:
     """Entanglement of formation h((1 + sqrt(1 - C^2)) / 2), clamped to [0, 1].
 
@@ -200,6 +192,6 @@ def eof_from_concurrence(c: float | np.ndarray) -> float | np.ndarray:
     A C within 1e-12 of [0, 1] is clamped into it; any other C, or a
     non-finite one, raises ParameterError.
     """
-    c = _unit_interval("concurrence", c)
+    c = _unit_interval(c)
     value = _entropy(0.5 * (1.0 + np.sqrt(1.0 - c * c)))
     return _float_or_array(np.clip(value, 0.0, 1.0))

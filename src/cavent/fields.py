@@ -104,8 +104,10 @@ class PhotonDistribution:
 
     probs[n] is the probability of n photons for n = 0..n_max, and tail_mass
     the mass past n_max that the truncation discarded; sum(probs) must lie in
-    [1 - tail_mass, 1] within 1e-6.  squeezed_distribution renormalizes the
-    kept terms over 0..n_max, so its sum is 1.  The vector is read-only.
+    [1 - tail_mass, 1] within 1e-6.  The two-atom state's trace is that sum,
+    so `concurrence` refuses the state of a distribution whose sum is short
+    of 1 by more than 1e-6.  squeezed_distribution renormalizes the kept
+    terms over 0..n_max, so its sum is 1.  The vector is read-only.
     """
 
     probs: np.ndarray

@@ -69,7 +69,8 @@ def tripartite_state(dist: PhotonDistribution, gt: float | np.ndarray) -> np.nda
 def trace_out_field(amps: np.ndarray) -> np.ndarray:
     """Partial trace over the photon index: rho_ij = sum_n v_i(n) v_j(n).
 
-    amps is an amplitude table or stack as `tripartite_state` returns it.
+    amps is an amplitude table or stack as `tripartite_state` returns it, or
+    an array-like of one.
     One angle gives a (4, 4) matrix, a stack of G angles a (G, 4, 4) stack.
     Rows/columns follow dynamics.BASIS.  rho = v v^T on the (4, n_max + 3)
     view v of the amplitude table, which numpy evaluates as one BLAS dsyrk
@@ -81,6 +82,7 @@ def trace_out_field(amps: np.ndarray) -> np.ndarray:
     exactly rounded sums (math.fsum) of the same products by at most 8.9e-16.
     An input of another shape than (..., 2, 2, n) raises ParameterError.
     """
+    amps = np.asarray(amps)
     if amps.ndim < 3 or amps.shape[-3:-1] != (2, 2):
         raise ParameterError(f"expected a (..., 2, 2, n) amplitude table, got shape {amps.shape}")
     # the photon-axis length is given, not -1, so that an empty grid reshapes

@@ -6,9 +6,9 @@ import pytest
 from cavent import (
     NumericsError,
     ParameterError,
+    PhotonDistribution,
     SqueezedParams,
     assemble_rho,
-    binary_entropy,
     concurrence,
     eof_from_concurrence,
     gamma_coefficients,
@@ -236,13 +236,26 @@ class TestPositiveSemidefiniteGate:
             concurrence(stack)
         assert float(str(info.value).split()[1]) == pytest.approx(-2e-8, abs=1e-15)
 
-    def test_refuses_it_on_a_large_scale(self):
-        # 16 eps * max diag is 3.6e-8 here, wider than the bound; the
-        # factor check caps it at EIG_HARD_TOL / 4
-        rho = np.diag([1e7, 1e7, 1e7, -2e-8])
-        with pytest.raises(NumericsError, match="eigenvalue") as info:
+    def test_refuses_a_trace_other_than_one(self, bell_state):
+        # the trace keeps max diag(rho), and with it the factor check's
+        # 16 eps * max diag, near 1; at 1e7 that check would span 3.6e-8
+        large = np.diag([1e7, 1e7, 1e7, -2e-8])
+        for rho in (0.0 * bell_state, 0.5 * bell_state, 3.0 * bell_state, large):
+            with pytest.raises(ParameterError, match="trace") as info:
+                concurrence(rho)
+            assert float(str(info.value).split()[2]) == np.trace(rho)
+            # a stack names its first such trace
+            with pytest.raises(ParameterError, match="trace") as info:
+                concurrence(np.array([bell_state, rho, 2.0 * bell_state]))
+            assert float(str(info.value).split()[2]) == np.trace(rho)
+
+    def test_refuses_the_state_of_a_short_distribution(self):
+        # a legal distribution whose kept sum is 0.8 gives a state of trace 0.8
+        dist = PhotonDistribution(np.array([0.5, 0.3]), 0.2)
+        rho = assemble_rho(gamma_coefficients(dist, 1.0))
+        assert np.trace(rho) == pytest.approx(0.8, abs=1e-15)
+        with pytest.raises(ParameterError, match="trace"):
             concurrence(rho)
-        assert float(str(info.value).split()[1]) == -2e-8
 
     def test_a_nan_remainder_takes_eigh(self, monkeypatch, make_random_density):
         rho = make_random_density(np.random.default_rng(6))
@@ -277,6 +290,10 @@ class TestIndefiniteInput:
         values = rng.dirichlet(np.ones(4), 3000) * rng.choice([1.0, 0.0], (3000, 4), p=[0.6, 0.4])
         values[:, 0] = -rng.uniform(0.0, 0.9 * EIG_HARD_TOL, 3000)
         values[:, 1:] += rng.choice([0.0, 1e-9, 1e-5], (3000, 3))
+        # trace 1: rescale the nonnegative eigenvalues, after giving a unit
+        # one to each row that has none
+        values[~np.any(values[:, 1:] > 0.0, axis=1), 1] = 1.0
+        values[:, 1:] *= ((1.0 - values[:, 0]) / values[:, 1:].sum(axis=1))[:, None]
         q, _ = np.linalg.qr(rng.standard_normal((3000, 4, 4)))
         rho = (q * values[:, None, :]) @ np.swapaxes(q, -1, -2)
         rho = 0.5 * (rho + np.swapaxes(rho, -1, -2))
@@ -361,38 +378,6 @@ class TestStackedConcurrence:
         assert np.all((0.0 <= values) & (values <= 1.0))
 
 
-class TestBinaryEntropy:
-    def test_endpoints(self):
-        assert binary_entropy(0.0) == 0.0
-        assert binary_entropy(1.0) == 0.0
-
-    def test_maximum(self):
-        assert binary_entropy(0.5) == 1.0
-
-    def test_frozen_value(self):
-        assert binary_entropy(0.9) == pytest.approx(H_OF_09, abs=1e-12)
-
-    def test_symmetry(self):
-        for x in (0.1, 0.25, 0.47):
-            assert binary_entropy(x) == pytest.approx(binary_entropy(1.0 - x), abs=1e-14)
-
-    def test_tolerates_roundoff_overshoot(self):
-        assert binary_entropy(-1e-13) == 0.0
-        assert binary_entropy(1.0 + 1e-13) == 0.0
-
-    def test_array_path(self):
-        x = np.linspace(0.0, 1.0, 1001)
-        values = binary_entropy(x)
-        assert values.shape == x.shape
-        assert np.abs(values - [binary_entropy(float(v)) for v in x]).max() <= 1e-16
-        assert type(binary_entropy(0.3)) is float
-
-    @pytest.mark.parametrize("x", [-1e-3, 1.001, -2e-11, 1.0 + 2e-11, float("nan")])
-    def test_rejects_out_of_domain(self, x):
-        with pytest.raises(ParameterError):
-            binary_entropy(x)
-
-
 class TestEntanglementOfFormation:
     def test_extremes(self):
         assert eof_from_concurrence(0.0) == 0.0
@@ -438,8 +423,6 @@ class TestEntanglementOfFormation:
     def test_array_rejects_out_of_domain(self, c):
         with pytest.raises(ParameterError, match="concurrence must lie in"):
             eof_from_concurrence(np.array([0.2, 0.5, c, 0.7]))
-        with pytest.raises(ParameterError, match="binary_entropy argument must lie in"):
-            binary_entropy(np.array([0.2, c]))
 
     def test_array_clamps_roundoff_overshoot(self):
         values = eof_from_concurrence(np.array([-1e-12, -1e-13, 0.0, 1.0, 1.0 + 1e-13, 1.0 + 1e-12]))

@@ -103,15 +103,6 @@ class TestCoherentDistribution:
         ref = poisson_reference(alpha * alpha, dist.n_max)
         assert np.max(np.abs(dist.probs - ref)) < 1e-13
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0, 7.0, 20.0])
-    def test_normalization_window(self, alpha):
-        tail_tol = 1e-12
-        dist = squeezed_distribution(SqueezedParams(alpha, 0.0), tail_tol)
-        total = math.fsum(dist.probs)
-        assert 1.0 - tail_tol <= total <= 1.0
-        assert 0.0 <= dist.tail_mass <= tail_tol
-        assert np.all(dist.probs >= 0.0) and np.all(dist.probs <= 1.0)
-
     def test_rejects_bad_alpha(self):
         with pytest.raises(ParameterError):
             SqueezedParams(float("nan"), 0.0)
@@ -124,11 +115,6 @@ class TestCoherentDistribution:
     def test_rejects_bad_tail_tol(self, tail_tol):
         with pytest.raises(ParameterError):
             squeezed_distribution(SqueezedParams(1.0, 0.0), tail_tol)
-
-    def test_unattainable_tail_tolerance(self):
-        # below 2^-52, refused before any term is generated
-        with pytest.raises(NumericsError):
-            squeezed_distribution(SqueezedParams(0.5, 0.0), 1e-17)
 
     @pytest.mark.parametrize("mean", [400, 5000])
     def test_tight_tail_tolerance_met(self, mean):
@@ -183,12 +169,6 @@ class TestCoherentDistribution:
 
 
 class TestSqueezedDistribution:
-    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 3.0, math.sqrt(50.0)])
-    def test_r_zero_reduces_to_poissonian(self, alpha):
-        sq = squeezed_distribution(SqueezedParams(alpha, 0.0))
-        ref = poisson_reference(alpha * alpha, sq.n_max)
-        assert np.max(np.abs(sq.probs - ref)) < 1e-12
-
     def test_squeezed_vacuum_parity(self):
         dist = squeezed_distribution(SqueezedParams(0.0, 0.5))
         assert np.max(np.abs(dist.probs[1::2])) < 1e-14
@@ -216,7 +196,8 @@ class TestSqueezedDistribution:
 
     @pytest.mark.parametrize(
         "alpha,r",
-        [(0.0, 0.0), (0.5, 0.5), (1.0, 1.0), (3.0, 2.0), (20.0, 0.0), (20.0, 3.0), (0.0, 3.0)],
+        [(0.0, 0.0), (0.3, 0.0), (1.0, 0.0), (7.0, 0.0), (20.0, 0.0)]
+        + [(0.5, 0.5), (1.0, 1.0), (3.0, 2.0), (20.0, 3.0), (0.0, 3.0)],
     )
     def test_normalization_envelope(self, alpha, r):
         tail_tol = 1e-12
@@ -224,6 +205,7 @@ class TestSqueezedDistribution:
         total = math.fsum(dist.probs)
         assert 1.0 - tail_tol <= total <= 1.0
         assert 0.0 <= dist.tail_mass <= tail_tol
+        assert np.all(dist.probs >= 0.0) and np.all(dist.probs <= 1.0)
 
     @pytest.mark.parametrize("alpha,r", [(0.0, 0.0), (0.7, 0.3), (2.0, 1.0), (7.0, 1.0), (20.0, 3.0)])
     def test_moment_identity(self, alpha, r):
@@ -245,9 +227,6 @@ class TestSqueezedDistribution:
         # alpha^2 overflows at 1e200, sinh^2(r) at r = 710; at 1e154 the mean is 1e308
         with pytest.raises(NumericsError, match="within 200000 terms"):
             squeezed_distribution(SqueezedParams(alpha, r))
-
-    def test_vacuum_mean_is_zero(self):
-        assert mean_photon(squeezed_distribution(SqueezedParams(0.0, 0.0))) == 0.0
 
     def test_mean_of_low_photon_field(self):
         dist = squeezed_distribution(SqueezedParams(math.sqrt(0.3), 0.0))
@@ -294,13 +273,9 @@ class TestBrightSqueezedField:
 
 
 class TestTailContract:
-    def test_squeezed_below_double_precision_raises(self):
-        with pytest.raises(NumericsError):
-            squeezed_distribution(SqueezedParams(1.0, 0.5), 1e-17)
-
     # ROADMAP item 4's grid: refused by the 2^-52 rule, whichever way the last
     # bit of the renormalized sum falls
-    @pytest.mark.parametrize("r", [0.1, 0.5, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("r", [0.0, 0.1, 0.5, 1.0, 1.5, 2.0])
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
     def test_below_double_precision_refused_by_rule(self, alpha, r):
         with pytest.raises(NumericsError, match="unattainable in double precision"):

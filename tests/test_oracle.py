@@ -160,6 +160,12 @@ class TestTraceOutField:
         with pytest.raises(ParameterError):
             trace_out_field(np.zeros(shape))
 
+    def test_accepts_an_array_like(self):
+        # as concurrence, eof_from_concurrence and gamma_coefficients do
+        dist = squeezed_distribution(SqueezedParams(1.5, 0.4))
+        amps = tripartite_state(dist, np.array([0.7, 2.3]))
+        assert np.array_equal(trace_out_field(amps.tolist()), trace_out_field(amps))
+
     def test_is_gram_symmetric(self):
         dist = squeezed_distribution(SqueezedParams(1.5, 0.4))
         rho = trace_out_field(tripartite_state(dist, 2.3))
