@@ -131,6 +131,11 @@ class TestConcurrence:
             c = concurrence(make_random_density(rng))
             assert 0.0 <= c <= 1.0
 
+    def test_accepts_nested_lists(self, bell_state, make_werner):
+        assert concurrence(bell_state.tolist()) == concurrence(bell_state)
+        stack = np.array([bell_state, make_werner(0.5)])
+        assert np.array_equal(concurrence(stack.tolist()), concurrence(stack))
+
     def test_single_matrix_gives_a_float(self, bell_state):
         assert type(concurrence(bell_state)) is float
 
@@ -248,6 +253,17 @@ class TestPositiveSemidefiniteGate:
             with pytest.raises(ParameterError, match="trace") as info:
                 concurrence(np.array([bell_state, rho, 2.0 * bell_state]))
             assert float(str(info.value).split()[2]) == np.trace(rho)
+
+    @pytest.mark.parametrize("drift", [-9e-7, 9e-7])
+    def test_accepts_a_trace_within_the_tolerance(self, bell_state, drift):
+        assert concurrence((1.0 + drift) * bell_state) == pytest.approx(
+            min(1.0 + drift, 1.0), abs=1e-12
+        )
+
+    @pytest.mark.parametrize("drift", [-1.1e-6, 1.1e-6])
+    def test_refuses_a_trace_just_outside_the_tolerance(self, bell_state, drift):
+        with pytest.raises(ParameterError, match="is not 1 within 1e-6"):
+            concurrence((1.0 + drift) * bell_state)
 
     def test_refuses_the_state_of_a_short_distribution(self):
         # a legal distribution whose kept sum is 0.8 gives a state of trace 0.8
@@ -418,6 +434,15 @@ class TestEntanglementOfFormation:
         grid = np.linspace(0.0, 1.0, 2001)
         values = eof_from_concurrence(grid)
         assert np.abs(values - [libm_eof(c) for c in grid.tolist()]).max() <= 4e-16
+
+    @pytest.mark.parametrize("c", [1e-8, 1e-6, 1e-3, 0.1, 0.6, 0.9, 0.999, 1.0 - 1e-9])
+    def test_matches_a_40_digit_evaluation(self, c):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            x = (1 + mpmath.sqrt(1 - mpmath.mpf(c) ** 2)) / 2
+            exact = float(-x * mpmath.log(x, 2) - (1 - x) * mpmath.log(1 - x, 2))
+        # 1 - x cancels for a small C, so the bound is absolute
+        assert eof_from_concurrence(c) == pytest.approx(exact, rel=0.0, abs=2e-15)
 
     @pytest.mark.parametrize("c", [float("nan"), float("inf"), -float("inf"), -2e-12, 1.0 + 2e-12])
     def test_array_rejects_out_of_domain(self, c):
