@@ -8,7 +8,7 @@ coherent cavity fields, with an independent Fock-space oracle.  The commands
 and their CSV output live in `cavent.cli`, which `import cavent` does not load.
 """
 
-from .dynamics import BASIS, GammaCoefficients, assemble_rho, gamma_coefficients
+from .dynamics import BASIS, assemble_rho, gamma_coefficients
 from .entanglement import concurrence, eof_from_concurrence
 from .errors import CaventError, NumericsError, ParameterError
 from .fields import (
@@ -24,7 +24,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BASIS",
     "CaventError",
-    "GammaCoefficients",
     "NumericsError",
     "ParameterError",
     "PhotonDistribution",

@@ -12,6 +12,12 @@ whose ten independent entries are weighted trigonometric sums over the photon
 distribution.  Populations carry weight P_n; coherences between branches that
 differ by one (two) photon emissions carry weight sqrt(P_n P_{n-1})
 (sqrt(P_n P_{n-2})), with out-of-range indices contributing zero.
+`gamma_coefficients` returns them as rho's upper triangle in row-major
+(np.triu_indices(4)) order,
+
+    rho_00, rho_01, rho_02, rho_03, rho_11, rho_12, rho_13, rho_22, rho_23, rho_33,
+
+and `assemble_rho` mirrors that triangle into the matrix.
 
 The sums skip the numerically dead head of a bright distribution.  They start
 at L = max(0, c - 2), where c is the first n whose cumulative mass exceeds
@@ -48,7 +54,6 @@ sin by at most 7.8e-16.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -71,35 +76,20 @@ PHASE_TOL = 1e-8
 # independently of the grid length
 _BLOCK_ELEMENTS = 4096
 
-
-class GammaCoefficients(NamedTuple):
-    """The ten real sums filling the two-atom density matrix.
-
-    g1, g2, g3, g5 are the populations of ee, eg, ge, gg (their sum is the
-    trace); g4 and g6..g10 are the coherences.  Each field is a float for one
-    Rabi angle and a (G,) array for a grid of G angles.
-    """
-
-    g1: float | np.ndarray
-    g2: float | np.ndarray
-    g3: float | np.ndarray
-    g4: float | np.ndarray
-    g5: float | np.ndarray
-    g6: float | np.ndarray
-    g7: float | np.ndarray
-    g8: float | np.ndarray
-    g9: float | np.ndarray
-    g10: float | np.ndarray
+# _MIRROR[i, j] is the position of rho_ij = rho_ji in the upper triangle
+_MIRROR = np.array([[0, 1, 2, 3], [1, 4, 5, 6], [2, 5, 7, 8], [3, 6, 8, 9]])
 
 
 def _check_angles(gt, levels) -> np.ndarray:
     """gt, one angle or a 1-D array of them, as a float array.
 
-    Raises ParameterError for a non-finite or negative angle or a grid of more
-    than one dimension, and NumericsError for angles whose largest phase
-    gt*sqrt(n_max + 2), over `levels` = n_max + 1 photon numbers, carries an
-    absolute rounding error above PHASE_TOL.
+    Raises ParameterError for a complex, non-finite or negative angle or a grid
+    of more than one dimension, and NumericsError for angles whose largest
+    phase gt*sqrt(n_max + 2), over `levels` = n_max + 1 photon numbers, carries
+    an absolute rounding error above PHASE_TOL.
     """
+    if np.iscomplexobj(gt):
+        raise ParameterError("gt must be real, got complex input")
     grid = np.asarray(gt, dtype=float)
     finite = np.isfinite(grid)
     if not np.all(finite):
@@ -144,7 +134,8 @@ def _cos_sin(phase):
 
 
 def _block_sums(gt, p, w1, w2, roots):
-    """The ten sums for a (rows, 1) block of angles, each a dot product along n.
+    """The ten sums for a (rows, 1) block of angles, each a dot product along n,
+    in upper-triangle order.
 
     p, w1 and w2 hold the kept photon numbers n = first .. n_max, and
     roots[j] = sqrt(first + j - 1), with sqrt(-1) read as 0, so the windows
@@ -170,32 +161,33 @@ def _block_sums(gt, p, w1, w2, roots):
 
     return (
         np.vecdot(p * c1c1, c1c1),
-        np.vecdot(pop, c1c1),
-        np.vecdot(pop_c2, c2),
-        np.vecdot(pop_c2, c1),
-        np.vecdot(pop * s2, s2),
-        np.vecdot(w2 * c1c1 * s0, sm),
         np.vecdot(coh_c1c1, c0),
         np.vecdot(coh_c1c1, c1),
+        np.vecdot(w2 * c1c1 * s0, sm),
+        np.vecdot(pop, c1c1),
+        np.vecdot(pop_c2, c1),
         np.vecdot(coh_s1s1, c1),
+        np.vecdot(pop_c2, c2),
         np.vecdot(coh_s1s1, c2),
+        np.vecdot(pop * s2, s2),
     )
 
 
-def gamma_coefficients(dist: PhotonDistribution, gt: float | np.ndarray) -> GammaCoefficients:
+def gamma_coefficients(dist: PhotonDistribution, gt: float | np.ndarray) -> np.ndarray:
     """Evaluate the ten density-matrix sums for one photon distribution.
 
-    gt is one Rabi angle, giving float fields, or a 1-D array of G angles,
-    giving (G,) array fields.  Each angle's sums are the same bits whichever
-    grid it sits in.  The trig factors come from one tangent of each half
-    phase, within 2.2e-16 of the exact cosine and sine (see the module
-    docstring).  The sums start at the first photon number that can
-    reach a result bit, L = max(0, c - 2) with c the first n whose cumulative
-    mass exceeds eps^2, which moves each of them by at most ~2 eps^2 from the
-    full-range sum (see the module docstring).  Raises ParameterError for a
-    negative or non-finite angle or a grid of more than one dimension, and
-    NumericsError for an angle too large for its phases to carry correct
-    digits (see PHASE_TOL).
+    gt is one Rabi angle, giving a (10,) array, or a 1-D array of G angles,
+    giving a (G, 10) array; each row is rho's upper triangle in
+    np.triu_indices(4) order (see the module docstring).  Each angle's sums
+    are the same bits whichever grid it sits in.  The trig factors come from
+    one tangent of each half phase, within 2.2e-16 of the exact cosine and
+    sine (see the module docstring).  The sums start at the first photon
+    number that can reach a result bit, L = max(0, c - 2) with c the first n
+    whose cumulative mass exceeds eps^2, which moves each of them by at most
+    ~2 eps^2 from the full-range sum (see the module docstring).  Raises
+    ParameterError for a complex, negative or non-finite angle or a grid of
+    more than one dimension, and NumericsError for an angle too large for its
+    phases to carry correct digits (see PHASE_TOL).
     """
     grid = _check_angles(gt, len(dist.probs))
     first = max(0, int(np.argmax(np.cumsum(dist.probs) > _EPS * _EPS)) - 2)
@@ -210,26 +202,21 @@ def gamma_coefficients(dist: PhotonDistribution, gt: float | np.ndarray) -> Gamm
     w2[2:] = np.sqrt(p[2:] * p[:-2])
 
     angles = grid.reshape(-1, 1)
-    sums = np.empty((10, len(angles)))
+    sums = np.empty((len(angles), 10))
     for block in _blocks(len(angles), len(p)):
-        sums[:, block] = _block_sums(angles[block], p, w1, w2, roots)
-    if grid.ndim == 0:
-        return GammaCoefficients(*(float(s[0]) for s in sums))
-    return GammaCoefficients(*sums)
+        sums[block] = np.stack(_block_sums(angles[block], p, w1, w2, roots), axis=-1)
+    return sums.reshape(grid.shape + (10,))
 
 
-def assemble_rho(g: GammaCoefficients) -> np.ndarray:
-    """Lay the ten coefficients out as the symmetric 4x4 density matrix.
+def assemble_rho(triangle) -> np.ndarray:
+    """Mirror upper triangles into symmetric 4x4 density matrices.
 
-    Row/column order is BASIS; diagonal (g1, g2, g3, g5), upper off-diagonals
-    (1,2)=g7, (1,3)=g8, (1,4)=g6, (2,3)=g4, (2,4)=g9, (3,4)=g10 (1-indexed),
-    mirrored below.  Float coefficients give one (4, 4) matrix, (G,) array
-    coefficients a (G, 4, 4) stack.
+    triangle is a (..., 10) array-like of rho's upper triangle in
+    np.triu_indices(4) order, as `gamma_coefficients` returns it; rows and
+    columns follow BASIS.  A (10,) triangle gives one (4, 4) matrix, a
+    (G, 10) stack a (G, 4, 4) stack.  Any other last axis raises
+    ParameterError.
     """
-    rows = (
-        (g.g1, g.g7, g.g8, g.g6),
-        (g.g7, g.g2, g.g4, g.g9),
-        (g.g8, g.g4, g.g3, g.g10),
-        (g.g6, g.g9, g.g10, g.g5),
-    )
-    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+    if np.shape(triangle)[-1:] != (10,):
+        raise ParameterError(f"expected a (..., 10) upper triangle, got shape {np.shape(triangle)}")
+    return np.asarray(triangle)[..., _MIRROR]

@@ -103,11 +103,11 @@ class PhotonDistribution:
     """Truncated photon-number distribution.
 
     probs[n] is the probability of n photons for n = 0..n_max, and tail_mass
-    the mass past n_max that the truncation discarded; sum(probs) must lie in
-    [1 - tail_mass, 1] within 1e-6.  The two-atom state's trace is that sum,
-    so `concurrence` refuses the state of a distribution whose sum is short
-    of 1 by more than 1e-6.  squeezed_distribution renormalizes the kept
-    terms over 0..n_max, so its sum is 1.  The vector is read-only.
+    reports the mass past n_max that the truncation discarded.  sum(probs)
+    must be 1 within 1e-6 whatever tail_mass says: the two-atom state's trace
+    is that sum, and `concurrence` refuses a trace off 1 by more than 1e-6.
+    squeezed_distribution renormalizes the kept terms over 0..n_max, so its
+    sum is 1.  The vector is read-only.
     """
 
     probs: np.ndarray
@@ -122,10 +122,8 @@ class PhotonDistribution:
         if not (0.0 <= self.tail_mass <= 1.0):
             raise ParameterError(f"tail_mass must lie in [0, 1], got {self.tail_mass!r}")
         total = float(np.sum(arr))
-        if not 1.0 - self.tail_mass - _NORM_DRIFT_TOL <= total <= 1.0 + _NORM_DRIFT_TOL:
-            raise ParameterError(
-                f"sum(probs) must be 1 within 1e-6, less at most tail_mass, got {total!r}"
-            )
+        if abs(total - 1.0) > _NORM_DRIFT_TOL:
+            raise ParameterError(f"sum(probs) must be 1 within 1e-6, got {total!r}")
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 

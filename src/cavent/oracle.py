@@ -41,9 +41,9 @@ def tripartite_state(dist: PhotonDistribution, gt: float | np.ndarray) -> np.nda
     state; the photon axis runs from 0 to n_max + 2 of the source
     distribution.  gt is one angle, giving a (2, 2, n_max + 3) table, or a
     1-D array of G angles, giving a (G, 2, 2, n_max + 3) stack.  Raises
-    ParameterError for a negative or non-finite angle or a grid of more than
-    one dimension, and NumericsError for an angle too large for its phases
-    to carry correct digits (see dynamics.PHASE_TOL).
+    ParameterError for a complex, negative or non-finite angle or a grid of
+    more than one dimension, and NumericsError for an angle too large for its
+    phases to carry correct digits (see dynamics.PHASE_TOL).
     """
     p = dist.probs
     levels = len(p)
@@ -80,9 +80,12 @@ def trace_out_field(amps: np.ndarray) -> np.ndarray:
     BLAS build, as the concurrence's already depend on the LAPACK build.  On
     the reference grids (means 0.3, 50 and 400) the entries differ from
     exactly rounded sums (math.fsum) of the same products by at most 8.9e-16.
-    An input of another shape than (..., 2, 2, n) raises ParameterError.
+    Complex input, or an input of another shape than (..., 2, 2, n), raises
+    ParameterError: the table is real, and v v^T takes no conjugate.
     """
     amps = np.asarray(amps)
+    if np.iscomplexobj(amps):
+        raise ParameterError("expected a real amplitude table, got complex entries")
     if amps.ndim < 3 or amps.shape[-3:-1] != (2, 2):
         raise ParameterError(f"expected a (..., 2, 2, n) amplitude table, got shape {amps.shape}")
     # the photon-axis length is given, not -1, so that an empty grid reshapes

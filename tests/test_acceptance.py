@@ -152,13 +152,15 @@ def test_criterion_6_trivial_anchors():
     vacuum = squeezed_distribution(SqueezedParams(0.0, 0.0))
     worst = 0.0
     for gt in (0.25, 1.0, 2.3, math.pi, 7.7):
-        g = gamma_coefficients(vacuum, gt)
+        rho = assemble_rho(gamma_coefficients(vacuum, gt))
         c1, s1 = math.cos(gt), math.sin(gt)
         c2, s2 = math.cos(math.sqrt(2.0) * gt), math.sin(math.sqrt(2.0) * gt)
         expected = (c1**4, c1**2 * s1**2, c2**2 * s1**2, s1**2 * c1 * c2, s1**2 * s2**2)
-        for got, want in zip((g.g1, g.g2, g.g3, g.g4, g.g5), expected):
-            worst = max(worst, abs(got - want))
-        worst = max(worst, abs(g.g6), abs(g.g7), abs(g.g8), abs(g.g9), abs(g.g10))
+        got = (rho[0, 0], rho[1, 1], rho[2, 2], rho[1, 2], rho[3, 3])
+        for value, want in zip(got, expected):
+            worst = max(worst, abs(value - want))
+        # the coherences with ee and with gg
+        worst = max(worst, *np.abs(rho[0, 1:]), *np.abs(rho[1:3, 3]))
     ok = exact_zero and worst < 1e-12
     _report(
         6,

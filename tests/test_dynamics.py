@@ -22,17 +22,23 @@ from reference import reference_field
 
 EPS = float(np.finfo(float).eps)
 
+# the (i, j) of each entry gamma_coefficients returns, and where the
+# populations rho_ii sit among them
+TRIU = list(zip(*(index.tolist() for index in np.triu_indices(4))))
+DIAGONAL = [k for k, (i, j) in enumerate(TRIU) if i == j]
 
-def vacuum_gammas(gt):
-    """Closed forms for a single-photon-free cavity (P_0 = 1, P_n>0 = 0)."""
+
+def vacuum_entries(gt):
+    """Closed forms of the nonzero entries rho_ij, i <= j, for a
+    single-photon-free cavity (P_0 = 1, P_n>0 = 0); the other five vanish."""
     c1, s1 = math.cos(gt), math.sin(gt)
     c2, s2 = math.cos(math.sqrt(2.0) * gt), math.sin(math.sqrt(2.0) * gt)
     return {
-        "g1": c1**4,
-        "g2": c1**2 * s1**2,
-        "g3": c2**2 * s1**2,
-        "g4": s1**2 * c1 * c2,
-        "g5": s1**2 * s2**2,
+        (0, 0): c1**4,
+        (1, 1): c1**2 * s1**2,
+        (2, 2): c2**2 * s1**2,
+        (1, 2): s1**2 * c1 * c2,
+        (3, 3): s1**2 * s2**2,
     }
 
 
@@ -41,8 +47,9 @@ def full_range_factors(dist, grid):
     pass: the evaluation before the dead head of a bright distribution was
     skipped.  Each sum is a pair (x, y) of its last factor y and the product
     x of the others, formed as in dynamics._block_sums from the same
-    tangent-derived trig factors (dynamics._cos_sin), so where nothing is
-    skipped np.vecdot(x, y) gives the program's bits."""
+    tangent-derived trig factors (dynamics._cos_sin) and listed in the same
+    upper-triangle order, so where nothing is skipped np.vecdot(x, y) gives
+    the program's bits."""
     p = dist.probs
     n = np.arange(len(p), dtype=float)
     gt = np.reshape(grid, (-1, 1))
@@ -60,21 +67,22 @@ def full_range_factors(dist, grid):
     pop_c2, coh_c1c1, coh_s1s1 = pop * c2, coh * c1c1, coh * s1s1
     return (
         (p * c1c1, c1c1),
-        (pop, c1c1),
-        (pop_c2, c2),
-        (pop_c2, c1),
-        (pop * s2, s2),
-        (w2 * c1c1 * s0, sm),
         (coh_c1c1, c0),
         (coh_c1c1, c1),
+        (w2 * c1c1 * s0, sm),
+        (pop, c1c1),
+        (pop_c2, c1),
         (coh_s1s1, c1),
+        (pop_c2, c2),
         (coh_s1s1, c2),
+        (pop * s2, s2),
     )
 
 
 def full_range_sums(dist, grid):
-    """The ten sums over every n = 0 .. n_max, one dot product per angle."""
-    return np.array([np.vecdot(x, y) for x, y in full_range_factors(dist, grid)])
+    """The ten sums over every n = 0 .. n_max, one dot product per angle,
+    as a (G, 10) array like gamma_coefficients'."""
+    return np.stack([np.vecdot(x, y) for x, y in full_range_factors(dist, grid)], axis=-1)
 
 
 def compare_fields(mean, r):
@@ -86,17 +94,18 @@ class TestGammaCoefficients:
     def test_zero_angle(self, vacuum):
         dist = squeezed_distribution(SqueezedParams(1.3, 0.0))
         g = gamma_coefficients(dist, 0.0)
-        assert g.g1 == pytest.approx(1.0, abs=1e-12)
+        assert g[0] == pytest.approx(1.0, abs=1e-12)
         assert all(value == 0.0 for value in g[1:])
 
     @pytest.mark.parametrize("gt", [0.3, 1.0, math.pi / 2, 2.7, 9.9])
     def test_vacuum_closed_forms(self, vacuum, gt):
         g = gamma_coefficients(vacuum, gt)
-        expected = vacuum_gammas(gt)
-        for name, value in expected.items():
-            assert getattr(g, name) == pytest.approx(value, abs=1e-12), name
-        for name in ("g6", "g7", "g8", "g9", "g10"):
-            assert getattr(g, name) == 0.0
+        expected = vacuum_entries(gt)
+        for value, entry in zip(g, TRIU):
+            if entry in expected:
+                assert value == pytest.approx(expected[entry], abs=1e-12), entry
+            else:
+                assert value == 0.0, entry
 
     @pytest.mark.parametrize(
         "alpha,r,gt",
@@ -104,10 +113,10 @@ class TestGammaCoefficients:
     )
     def test_population_completeness(self, alpha, r, gt):
         dist = squeezed_distribution(SqueezedParams(alpha, r))
-        g = gamma_coefficients(dist, gt)
-        assert g.g1 + g.g2 + g.g3 + g.g5 == pytest.approx(1.0, abs=1e-10)
-        for name in ("g1", "g2", "g3", "g5"):
-            assert 0.0 <= getattr(g, name) <= 1.0
+        populations = gamma_coefficients(dist, gt)[DIAGONAL].tolist()
+        assert sum(populations) == pytest.approx(1.0, abs=1e-10)
+        for value in populations:
+            assert 0.0 <= value <= 1.0
 
     def test_rejects_bad_angles(self, vacuum):
         with pytest.raises(ParameterError):
@@ -128,6 +137,15 @@ class TestGammaCoefficients:
         with pytest.raises(ParameterError):
             gamma_coefficients(vacuum, np.ones((2, 3)))
 
+    @pytest.mark.parametrize(
+        "gt", [1.0 + 1.0j, np.array([1.0 + 1.0j, 2.0]), np.array([1.0 + 0.0j])],
+        ids=["scalar", "array", "zero-imaginary"],
+    )
+    def test_rejects_complex_angles(self, vacuum, gt):
+        # a cast to float would drop the imaginary part with only a warning
+        with pytest.raises(ParameterError, match="gt must be real"):
+            gamma_coefficients(vacuum, gt)
+
 
 class TestGrids:
     def test_grid_equals_stacked_scalar_calls_bitwise(self):
@@ -137,9 +155,8 @@ class TestGrids:
         for mean in (50.0, 400.0):
             dist = squeezed_distribution(SqueezedParams(solve_alpha_for_mean(mean, 1.0), 1.0))
             batched = gamma_coefficients(dist, grid)
-            for name in batched._fields:
-                scalar = [getattr(gamma_coefficients(dist, gt), name) for gt in grid.tolist()]
-                assert np.array_equal(getattr(batched, name), scalar), (mean, name)
+            scalar = [gamma_coefficients(dist, gt) for gt in grid.tolist()]
+            assert np.array_equal(batched, scalar), mean
 
     def test_row_does_not_depend_on_the_grid_it_sits_in(self):
         # the squeezed field of compare --mean 400 --r 1 (n_max 505)
@@ -148,8 +165,7 @@ class TestGrids:
         picks = [3, 200, 511]
         small = gamma_coefficients(dist, grid[picks])
         large = gamma_coefficients(dist, grid)
-        for name in small._fields:
-            assert np.array_equal(getattr(small, name), getattr(large, name)[picks]), name
+        assert np.array_equal(small, large[picks])
 
     def test_stacked_rho_matches_scalar_layout(self):
         dist = squeezed_distribution(SqueezedParams(1.0, 0.0))
@@ -159,9 +175,11 @@ class TestGrids:
         for rho, gt in zip(stack, grid.tolist()):
             assert np.array_equal(rho, assemble_rho(gamma_coefficients(dist, gt)))
 
-    def test_scalar_angle_gives_floats(self):
-        g = gamma_coefficients(squeezed_distribution(SqueezedParams(1.0, 0.0)), 0.9)
-        assert all(type(value) is float for value in g)
+    def test_scalar_angle_gives_its_grid_row(self):
+        dist = squeezed_distribution(SqueezedParams(1.0, 0.0))
+        g = gamma_coefficients(dist, 0.9)
+        assert g.shape == (10,) and g.dtype == np.float64
+        assert np.array_equal(g, gamma_coefficients(dist, np.array([0.2, 0.9, 3.3]))[1])
 
     def test_peak_memory_is_bounded_by_blocks(self):
         # the coherent field of compare --mean 400 (n_max 559); unblocked, the
@@ -200,14 +218,14 @@ class TestDeadHead:
         # the grids of compare --mean 400 --r 1 --gt-end 50 --steps 128
         dist = compare_fields(400.0, 1.0)[field]
         grid = np.linspace(0.0, 50.0, 128)
-        sums = np.array(gamma_coefficients(dist, grid))
+        sums = gamma_coefficients(dist, grid)
         assert np.max(np.abs(sums - full_range_sums(dist, grid))) <= 1e-15
 
     @pytest.mark.parametrize("field", [0, 1], ids=["squeezed", "coherent"])
     def test_dim_sums_are_the_full_range_bits(self, field):
         dist = compare_fields(0.3, 0.5)[field]
         grid = np.linspace(0.0, 10.0, 512)
-        assert np.array_equal(np.array(gamma_coefficients(dist, grid)), full_range_sums(dist, grid))
+        assert np.array_equal(gamma_coefficients(dist, grid), full_range_sums(dist, grid))
 
 
 class TestSummationAccuracy:
@@ -226,12 +244,12 @@ class TestSummationAccuracy:
         # largest difference measured is 4.4e-16, at mean 0.3
         dist = compare_fields(mean, r)[field]
         grid = np.linspace(0.0, gt_end, steps)
-        sums = np.array(gamma_coefficients(dist, grid))
+        sums = gamma_coefficients(dist, grid)
         exact = [
             [math.fsum(row) for row in (x * y).tolist()]
             for x, y in full_range_factors(dist, grid)
         ]
-        assert np.max(np.abs(sums - exact)) <= 1e-15
+        assert np.max(np.abs(sums.T - exact)) <= 1e-15
 
 
 class TestTangentTrig:
@@ -295,16 +313,14 @@ class TestAssembleRho:
     def test_layout(self):
         g = gamma_coefficients(squeezed_distribution(SqueezedParams(1.0, 0.0)), 0.9)
         rho = assemble_rho(g)
-        expected = np.array(
-            [
-                [g.g1, g.g7, g.g8, g.g6],
-                [g.g7, g.g2, g.g4, g.g9],
-                [g.g8, g.g4, g.g3, g.g10],
-                [g.g6, g.g9, g.g10, g.g5],
-            ]
-        )
-        assert np.array_equal(rho, expected)
+        assert rho.shape == (4, 4)
+        assert np.array_equal(rho[np.triu_indices(4)], g)
         assert np.array_equal(rho, rho.T)
+
+    @pytest.mark.parametrize("shape", [(9,), (4, 4), (3, 11)])
+    def test_refuses_what_is_not_a_triangle(self, shape):
+        with pytest.raises(ParameterError, match="upper triangle"):
+            assemble_rho(np.zeros(shape))
 
     def test_zero_angle_state(self):
         dist = squeezed_distribution(SqueezedParams(0.7, 0.0))
@@ -326,7 +342,7 @@ class TestAssembleRho:
         dist = squeezed_distribution(SqueezedParams(1.0, 0.3))
         g = gamma_coefficients(dist, gt)
         rho = assemble_rho(g)
-        assert np.trace(rho) == g.g1 + g.g2 + g.g3 + g.g5
+        assert np.trace(rho) == sum(g[DIAGONAL].tolist())
 
 
 class TestInvariantsOnGrid:

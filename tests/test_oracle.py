@@ -109,6 +109,13 @@ class TestTripartiteAmplitudes:
             with pytest.raises(NumericsError):
                 refuse(dist, 1.01 * edge)
 
+    @pytest.mark.parametrize(
+        "gt", [0.5 + 0.5j, np.array([1.0 + 0.5j])], ids=["scalar", "array"]
+    )
+    def test_rejects_complex_angles(self, vacuum, gt):
+        with pytest.raises(ParameterError, match="gt must be real"):
+            tripartite_state(vacuum, gt)
+
     def test_grid_shape(self):
         dist = squeezed_distribution(SqueezedParams(0.9, 0.0))
         stack = tripartite_state(dist, np.array([0.0, 1.1, 2.0]))
@@ -159,6 +166,13 @@ class TestTraceOutField:
     def test_rejects_a_shape_without_2x2_levels(self, shape):
         with pytest.raises(ParameterError):
             trace_out_field(np.zeros(shape))
+
+    def test_rejects_a_complex_table(self):
+        # v v^T takes no conjugate: amplitude 1j would give rho_00 = -1
+        amps = np.zeros((2, 2, 3), dtype=complex)
+        amps[0, 0, 0] = 1j
+        with pytest.raises(ParameterError, match="complex"):
+            trace_out_field(amps)
 
     def test_accepts_an_array_like(self):
         # as concurrence, eof_from_concurrence and gamma_coefficients do
