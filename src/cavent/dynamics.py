@@ -83,14 +83,19 @@ _MIRROR = np.array([[0, 1, 2, 3], [1, 4, 5, 6], [2, 5, 7, 8], [3, 6, 8, 9]])
 def _check_angles(gt, levels) -> np.ndarray:
     """gt, one angle or a 1-D array of them, as a float array.
 
-    Raises ParameterError for a complex, non-finite or negative angle or a grid
-    of more than one dimension, and NumericsError for angles whose largest
-    phase gt*sqrt(n_max + 2), over `levels` = n_max + 1 photon numbers, carries
-    an absolute rounding error above PHASE_TOL.
+    Raises ParameterError for a complex, non-finite or negative angle, one
+    that is not a number (a bool, a string, None), or a grid of more than one
+    dimension, and NumericsError for angles whose largest phase
+    gt*sqrt(n_max + 2), over `levels` = n_max + 1 photon numbers, carries an
+    absolute rounding error above PHASE_TOL.
     """
     if np.iscomplexobj(gt):
         raise ParameterError("gt must be real, got complex input")
-    grid = np.asarray(gt, dtype=float)
+    grid = np.asarray(gt)
+    # bools, strings, None and other objects would convert to a float
+    if grid.dtype.kind not in "iuf":
+        raise ParameterError(f"gt must be a real number, got {grid.dtype} input")
+    grid = grid.astype(float, copy=False)
     finite = np.isfinite(grid)
     if not np.all(finite):
         raise ParameterError(f"gt must be finite, got {float(grid[~finite].flat[0])!r}")

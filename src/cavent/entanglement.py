@@ -74,6 +74,19 @@ def _float_or_array(x):
     return float(x) if x.ndim == 0 else x
 
 
+def _sorted_magnitudes(values):
+    """The magnitudes of each row of an (N, 4) array in ascending order, as
+    four (N,) arrays: the bits np.sort(np.abs(values), axis=-1) gives, from a
+    fixed network of five compare-exchanges on the column pairs (0, 1),
+    (2, 3), (0, 2), (1, 3), (1, 2).  Magnitudes carry no sign, so a tie
+    leaves the same bits whichever side takes it; and a fresh process that
+    never calls a numpy sort does not page in numpy's sort kernels."""
+    s = list(np.abs(values).T)
+    for i, j in ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)):
+        s[i], s[j] = np.minimum(s[i], s[j]), np.maximum(s[i], s[j])
+    return s
+
+
 def _pivoted_factor(stack):
     """W with W W^T = rho for each matrix of an (N, 4, 4) positive semidefinite
     stack, by diagonally pivoted outer-product Cholesky (see the module
@@ -161,8 +174,8 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
         raise ParameterError(f"matrix trace {float(trace[off][0])!r} is not 1 within 1e-6")
     w = _factor(rho.reshape(-1, 4, 4))
     tau = np.swapaxes(w, -1, -2) @ (_FLIP_SIGNS[:, None] * w[:, ::-1])
-    s = np.sort(np.abs(np.linalg.eigvalsh(tau)), axis=-1)
-    c = np.clip(s[:, 3] - s[:, 2] - s[:, 1] - s[:, 0], 0.0, 1.0)
+    s = _sorted_magnitudes(np.linalg.eigvalsh(tau))
+    c = np.clip(s[3] - s[2] - s[1] - s[0], 0.0, 1.0)
     return _float_or_array(c.reshape(rho.shape[:-2]))
 
 

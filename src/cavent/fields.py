@@ -55,8 +55,10 @@ def _exact_sum(arr) -> float:
     its terms largest first.  The order does not change the result, only the
     time: a bright distribution spans hundreds of decades (P_0 ~ 1e-174 at
     <n> = 400), and in ascending n order fsum carries up to 261 partial sums
-    from term to term there, largest first at most 20."""
-    return math.fsum(np.sort(arr)[::-1].tolist())
+    from term to term there, largest first at most 20.  The builtin sorted
+    orders the terms: a fresh process that never calls a numpy sort does not
+    page in numpy's sort kernels."""
+    return math.fsum(sorted(arr.tolist(), reverse=True))
 
 
 def _terms_exhausted(tail_tol) -> NumericsError:
@@ -103,11 +105,14 @@ class PhotonDistribution:
     """Truncated photon-number distribution.
 
     probs[n] is the probability of n photons for n = 0..n_max, and tail_mass
-    reports the mass past n_max that the truncation discarded.  sum(probs)
-    must be 1 within 1e-6 whatever tail_mass says: the two-atom state's trace
-    is that sum, and `concurrence` refuses a trace off 1 by more than 1e-6.
-    squeezed_distribution renormalizes the kept terms over 0..n_max, so its
-    sum is 1.  The vector is read-only.
+    reports the generated mass past n_max that the truncation discarded.
+    squeezed_distribution generates terms only up to a point and leaves out
+    the mass beyond it, which read below a relative 1e-5 of tail_mass (see
+    there), so the mass past n_max can exceed tail_mass by that share
+    (ROADMAP item 14).  sum(probs) must be 1 within 1e-6 whatever tail_mass
+    says: the two-atom state's trace is that sum, and `concurrence` refuses a
+    trace off 1 by more than 1e-6.  squeezed_distribution renormalizes the
+    kept terms over 0..n_max, so its sum is 1.  The vector is read-only.
     """
 
     probs: np.ndarray

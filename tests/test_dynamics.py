@@ -146,6 +146,22 @@ class TestGammaCoefficients:
         with pytest.raises(ParameterError, match="gt must be real"):
             gamma_coefficients(vacuum, gt)
 
+    @pytest.mark.parametrize(
+        "gt", ["1.5", True, np.array([True]), [1.0, "2"], None],
+        ids=["string", "bool", "bool-array", "mixed-list", "none"],
+    )
+    def test_rejects_angles_that_are_not_numbers(self, vacuum, gt):
+        with pytest.raises(ParameterError, match="gt must be a real number"):
+            gamma_coefficients(vacuum, gt)
+
+    @pytest.mark.parametrize(
+        "gt,grid", [(2, 2.0), (np.float32(1.0), 1.0), ([1, 2.5], [1.0, 2.5])],
+        ids=["int", "float32", "int-and-float-list"],
+    )
+    def test_accepts_integer_and_float_angles(self, vacuum, gt, grid):
+        expected = gamma_coefficients(vacuum, np.array(grid))
+        assert np.array_equal(gamma_coefficients(vacuum, gt), expected)
+
 
 class TestGrids:
     def test_grid_equals_stacked_scalar_calls_bitwise(self):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from cavent import (
     gamma_coefficients,
     squeezed_distribution,
 )
-from cavent.entanglement import EIG_HARD_TOL, _factor, _pivoted_factor
+from cavent.entanglement import EIG_HARD_TOL, _factor, _pivoted_factor, _sorted_magnitudes
 from quartic_oracle import quartic_eigenvalues, spin_flipped
 from reference import eigh_route_spectrum, rotated
 
@@ -390,6 +391,51 @@ class TestStackedConcurrence:
         stack[0] = rotated(np.diag([0.6, 0.4, 5e-9, -5e-9]), 0.3, 0.8)
         values = concurrence(stack)
         assert np.all((0.0 <= values) & (values <= 1.0))
+
+
+def bits(x):
+    return np.ascontiguousarray(x, dtype=float).view(np.uint64)
+
+
+class TestSortedMagnitudes:
+    """The compare-exchange network gives np.sort(np.abs(v), axis=-1) bitwise."""
+
+    def assert_sort_bits(self, values):
+        network = np.stack(_sorted_magnitudes(values), axis=-1)
+        assert np.array_equal(bits(network), bits(np.sort(np.abs(values), axis=-1)))
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [0.1, -0.7, 0.3, 2.0],
+            [0.0, 0.0, 0.0, 0.0],
+            [-0.0, 0.0, -0.0, 0.0],
+            [0.5, -0.5, 0.25, -0.25],
+            [-0.5, 0.5, 0.5, -0.5],
+            [1.0, 0.0, 1.0, -0.0],
+            [3e-300, -3e-300, 0.0, 5e-324],
+        ],
+        ids=[
+            "distinct", "zeros", "signed-zeros", "opposite-pairs", "opposite-ties",
+            "ones-and-zeros", "tiny",
+        ],
+    )
+    def test_every_order_of_a_row(self, row):
+        self.assert_sort_bits(np.array(list(itertools.permutations(row))))
+
+    def test_random_stack_of_few_distinct_magnitudes(self):
+        # 4,096 rows over 9 values: nearly every tie pattern occurs
+        rng = np.random.default_rng(2)
+        values = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1e-300, -1e-300, 0.25], (4096, 4))
+        self.assert_sort_bits(values)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_spectra_of_indefinite_matrices_of_each_rank(self, rank):
+        # the rest of the spectrum is roundoff of either sign around zero
+        rng = np.random.default_rng(rank)
+        w = rng.standard_normal((256, 4, rank))
+        signs = rng.choice([-1.0, 1.0], (256, 1, rank))
+        self.assert_sort_bits(np.linalg.eigvalsh((w * signs) @ np.swapaxes(w, -1, -2)))
 
 
 class TestEntanglementOfFormation:

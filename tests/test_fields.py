@@ -225,9 +225,13 @@ class TestSqueezedDistribution:
         with pytest.raises(ParameterError, match="cosh"):
             SqueezedParams(1.0, r)
 
-    @pytest.mark.parametrize("alpha,r", [(1e200, 0.0), (1e154, 0.0), (1.0, 710.0)])
+    @pytest.mark.parametrize(
+        "alpha,r", [(1e200, 0.0), (1e154, 0.0), (1.0, 710.0), (math.sqrt(199_999.0), 0.0)]
+    )
     def test_mean_beyond_the_term_cap_is_refused(self, alpha, r):
-        # alpha^2 overflows at 1e200, sinh^2(r) at r = 710; at 1e154 the mean is 1e308
+        # alpha^2 overflows at 1e200, sinh^2(r) at r = 710; at 1e154 the mean is
+        # 1e308.  A mean of 199,999 passes the check before the loop, whose
+        # 200,000 terms then end inside the distribution's bulk.
         with pytest.raises(NumericsError, match="within 200000 terms"):
             squeezed_distribution(SqueezedParams(alpha, r))
 
@@ -395,6 +399,14 @@ class TestNormalizationSum:
         else:
             assert np.array_equal(ordered.probs, natural.probs)
             assert ordered.tail_mass == natural.tail_mass
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ordered_sum_is_fsum_over_hundreds_of_decades(self, seed):
+        rng = np.random.default_rng(seed)
+        arr = 10.0 ** rng.uniform(-320.0, 0.0, 1000)
+        arr[rng.integers(0, 1000, 50)] = 0.0
+        arr[rng.integers(0, 1000, 50)] = arr[7]
+        assert fields._exact_sum(arr) == math.fsum(arr.tolist())
 
 
 class TestSolveAlphaForMean:

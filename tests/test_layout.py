@@ -4,6 +4,10 @@
   `src/cavent` is from the standard library, numpy or `cavent` itself;
 * the library does not import the command line: only `__main__` and `cli`
   itself import `cavent.cli`, so `import cavent` leaves it unloaded;
+* the library calls no numpy sort: the first `sort`, `argsort`, `partition`
+  or `argpartition` in a process pages in numpy's sort kernels, ~0.3 MB of
+  code that every command would pay for in resident memory, while the
+  builtin `sorted` and a compare-exchange network give the same bits;
 * the benchmark's view of the library holds: every `from cavent... import
   name` in `perfbench/` resolves, and `cavent.cli` binds the layer functions
   that the benchmark's tracer wraps there (an unbound one would silently read
@@ -112,6 +116,34 @@ def test_importing_the_package_leaves_the_cli_unloaded():
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
     )
     assert proc.stdout == "False\n"
+
+
+NUMPY_SORTS = {"sort", "argsort", "partition", "argpartition"}
+
+
+def numpy_sorts(path):
+    """(line, name) of every reference to a numpy sort in a module: as an
+    attribute (`np.sort`, `arr.sort()`) or as a bare name (`from numpy import sort`)."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        if name in NUMPY_SORTS:
+            found.append((node.lineno, name))
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_calls_no_numpy_sort(path):
+    assert not numpy_sorts(path)
+
+
+def test_sort_check_sees_each_form(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import numpy as np\nfrom numpy import argpartition\n"
+        "a = np.sort(x)\nx.argsort()\nargpartition(x, 1)\nsorted(x)\n"
+    )
+    assert sorted(numpy_sorts(module)) == [(3, "sort"), (4, "argsort"), (5, "argpartition")]
 
 
 def test_benchmark_imports_found():

@@ -116,6 +116,22 @@ class TestTripartiteAmplitudes:
         with pytest.raises(ParameterError, match="gt must be real"):
             tripartite_state(vacuum, gt)
 
+    @pytest.mark.parametrize(
+        "gt", ["1.5", True, np.array([True]), [1.0, "2"], None],
+        ids=["string", "bool", "bool-array", "mixed-list", "none"],
+    )
+    def test_rejects_angles_that_are_not_numbers(self, vacuum, gt):
+        with pytest.raises(ParameterError, match="gt must be a real number"):
+            tripartite_state(vacuum, gt)
+
+    @pytest.mark.parametrize(
+        "gt,grid", [(2, 2.0), (np.float32(1.0), 1.0), ([1, 2.5], [1.0, 2.5])],
+        ids=["int", "float32", "int-and-float-list"],
+    )
+    def test_accepts_integer_and_float_angles(self, vacuum, gt, grid):
+        expected = tripartite_state(vacuum, np.array(grid))
+        assert np.array_equal(tripartite_state(vacuum, gt), expected)
+
     def test_grid_shape(self):
         dist = squeezed_distribution(SqueezedParams(0.9, 0.0))
         stack = tripartite_state(dist, np.array([0.0, 1.1, 2.0]))
