@@ -30,7 +30,7 @@ import numpy as np
 
 from .dynamics import _blocks, assemble_rho, gamma_coefficients
 from .entanglement import concurrence, eof_from_concurrence
-from .errors import NumericsError, ParameterError
+from .errors import NumericsError, ParameterError, _real_number
 from .fields import DEFAULT_TAIL_TOL, SqueezedParams, solve_alpha_for_mean, squeezed_distribution
 from .oracle import trace_out_field, tripartite_state
 
@@ -49,9 +49,9 @@ class SweepConfig:
     Exactly one of ``alpha`` / ``target_mean`` must be given; ``r`` is only
     meaningful for the squeezed field.  Construction checks what only the
     configuration knows: the field kind, the amplitude inputs, r with the
-    coherent field, finite, ordered grid ends, and an integer number of
-    steps, at least two and few enough for numpy to size the grid (a bool is
-    not an integer here).
+    coherent field, grid ends that are finite, ordered real numbers, and an
+    integer number of steps, at least two and few enough for numpy to size
+    the grid (a bool is not an integer here).
     Every other value is checked where it is consumed, when the sweep runs:
     alpha and r by `SqueezedParams`, target_mean and r by
     `solve_alpha_for_mean`, tail_tol by the photon distribution, and the
@@ -77,8 +77,9 @@ class SweepConfig:
         if self.field_kind == "coherent" and self.r != 0.0:
             raise ParameterError("r applies to the squeezed field only")
         # np.linspace would turn an infinite end into NaN angles
-        if not (math.isfinite(self.gt_start) and math.isfinite(self.gt_end)
-                and self.gt_start < self.gt_end):
+        start = _real_number(self.gt_start, "gt_start")
+        end = _real_number(self.gt_end, "gt_end")
+        if not (math.isfinite(start) and math.isfinite(end) and start < end):
             raise ParameterError(
                 f"the grid needs finite gt_start < gt_end, got [{self.gt_start}, {self.gt_end}]"
             )

@@ -57,7 +57,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericsError, ParameterError
+from .errors import NumericsError, ParameterError, _real_array
 from .fields import PhotonDistribution
 
 BASIS = ("ee", "eg", "ge", "gg")
@@ -89,13 +89,7 @@ def _check_angles(gt, levels) -> np.ndarray:
     gt*sqrt(n_max + 2), over `levels` = n_max + 1 photon numbers, carries an
     absolute rounding error above PHASE_TOL.
     """
-    if np.iscomplexobj(gt):
-        raise ParameterError("gt must be real, got complex input")
-    grid = np.asarray(gt)
-    # bools, strings, None and other objects would convert to a float
-    if grid.dtype.kind not in "iuf":
-        raise ParameterError(f"gt must be a real number, got {grid.dtype} input")
-    grid = grid.astype(float, copy=False)
+    grid = _real_array(gt, "gt")
     finite = np.isfinite(grid)
     if not np.all(finite):
         raise ParameterError(f"gt must be finite, got {float(grid[~finite].flat[0])!r}")
@@ -219,9 +213,9 @@ def assemble_rho(triangle) -> np.ndarray:
     triangle is a (..., 10) array-like of rho's upper triangle in
     np.triu_indices(4) order, as `gamma_coefficients` returns it; rows and
     columns follow BASIS.  A (10,) triangle gives one (4, 4) matrix, a
-    (G, 10) stack a (G, 4, 4) stack.  Any other last axis raises
-    ParameterError.
+    (G, 10) stack a (G, 4, 4) stack.  Any other last axis, or entries that
+    are not real numbers (see errors._real_array), raise ParameterError.
     """
     if np.shape(triangle)[-1:] != (10,):
         raise ParameterError(f"expected a (..., 10) upper triangle, got shape {np.shape(triangle)}")
-    return np.asarray(triangle)[..., _MIRROR]
+    return _real_array(triangle, "triangle")[..., _MIRROR]

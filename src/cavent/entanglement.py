@@ -23,24 +23,24 @@ R = rho - W W^T that the four steps leave must lie within
 16 * 2^-52 * max diag(rho), which a positive semidefinite density matrix meets.
 
 A density matrix has trace 1 within 1e-6, the drift PhotonDistribution's
-sum rule allows, and is positive semidefinite; eigenvalues down to -1e-8
-(EIG_HARD_TOL) are roundoff and tolerated.  The factor check is the one
-positive semidefiniteness decision.  A kept factor certifies it:
-||R||_2 <= 4 max|R_ij| <= 64 * 2^-52 * max diag(rho), and max diag(rho) is at
-most about the trace, 1, since W W^T is positive semidefinite; so the lowest
-eigenvalue of rho = W W^T + R is at least -1.5e-14, far above -EIG_HARD_TOL,
-up to roundoff.  A tolerated negative eigenvalue beyond
-roundoff misses the check (there a small pivot of an indefinite remainder can
-meet a larger off-diagonal entry and blow its column up), and so does a
-remainder that is not finite; such a matrix goes to LAPACK's eigh.  The stack
-is refused when the lowest of those eigenvalues is below -EIG_HARD_TOL,
-naming it; otherwise the matrix takes W = V sqrt(max(D, 0)), its negative
-eigenvalues clamped to zero.  Every density matrix thus takes one LAPACK
-eigensolve, of tau.  A non-finite entry, complex input or a trace other than
-1 is refused too.
+sum rule allows, and is positive semidefinite within what its factor
+certifies.  The factor check is the one positive semidefiniteness decision.
+A kept factor certifies it: ||R||_2 <= 4 max|R_ij| <= 64 * 2^-52 *
+max diag(rho), and max diag(rho) is at most about the trace, 1, since W W^T
+is positive semidefinite; so the lowest eigenvalue of rho = W W^T + R is at
+least -1.5e-14, up to roundoff.  Hence every rho with a lower eigenvalue misses
+the check (there a small pivot of an indefinite remainder can meet a larger
+off-diagonal entry and blow its column up); no density matrix the program
+makes has missed it.  A stack in which some remainder misses the check, or
+is not finite, is refused, naming the lowest eigenvalue (from LAPACK's
+eigvalsh) among the matrices that miss.  Every density matrix thus takes one
+LAPACK eigensolve, of tau.  A non-finite entry, input that is not real
+numbers or a trace other than 1 is refused too.
 
-E_F = h((1 + sqrt(1 - C^2)) / 2), h the binary entropy, takes a float (giving
-a float) or an array (giving an array), and its output is clamped to [0, 1].
+E_F = h((1 + sqrt(1 - C^2)) / 2), h the binary entropy, is formed from
+1 - x rather than x, so that it keeps its relative precision at a small C;
+it takes a float (giving a float) or an array (giving an array), and its
+output is clamped to [0, 1].
 """
 
 from __future__ import annotations
@@ -49,15 +49,10 @@ import math
 
 import numpy as np
 
-from .errors import NumericsError, ParameterError
+from .errors import NumericsError, ParameterError, _real_array
 
 _LN2 = math.log(2.0)
 _SYMMETRY_TOL = 1e-12
-
-# eigenvalues of a nominally PSD rho between -EIG_HARD_TOL and 0 are roundoff
-# and clamped to zero (such a rho fails the factor check and goes through eigh);
-# lower ones are rejected, the bound holding up to roundoff
-EIG_HARD_TOL = 1e-8
 
 # dpstrf's default stopping rule: a pivot at or below n * dlamch('Epsilon') *
 # max diag(rho), with n = 4 and dlamch('Epsilon') = 2^-53, ends the factor
@@ -119,49 +114,25 @@ def _pivoted_factor(stack):
     return np.ascontiguousarray(np.moveaxis(w, -1, 0)), np.max(np.abs(r), axis=(0, 1))
 
 
-def _factor(stack):
-    """W with W W^T = rho for each matrix of an (N, 4, 4) stack: the pivoted
-    Cholesky factor where its remainder is within _FACTOR_TOL * max diag(rho),
-    else V sqrt(max(D, 0)) from eigh.  Raises NumericsError naming the lowest
-    eigenvalue when one of those eigh matrices has an eigenvalue below
-    -EIG_HARD_TOL (see the module docstring)."""
-    w, left = _pivoted_factor(stack)
-    scale = np.max(np.diagonal(stack, axis1=-2, axis2=-1), axis=-1)
-    # a NaN remainder is a miss too
-    miss = ~(left <= _FACTOR_TOL * scale)
-    if np.any(miss):
-        values, vectors = np.linalg.eigh(stack[miss])
-        lowest = float(np.min(values[:, 0]))
-        if lowest < -EIG_HARD_TOL:
-            raise NumericsError(
-                f"eigenvalue {lowest} is below -{EIG_HARD_TOL} (up to roundoff); "
-                "the input was not a valid density matrix"
-            )
-        w[miss] = vectors * np.sqrt(np.where(values < 0.0, 0.0, values))[:, None, :]
-    return w
-
-
 def concurrence(rho: np.ndarray) -> float | np.ndarray:
     """Wootters concurrence of a real symmetric two-qubit density matrix.
 
-    Factors rho = W W^T (the pivoted Cholesky factor, or for an indefinite
-    rho W = V sqrt(max(D, 0)) from eigh; see the module docstring) and takes
-    s_1 >= ... >= s_4, the eigenvalue magnitudes of W^T Y W (the
-    square roots of the eigenvalues of rho * (Y rho Y)), from one LAPACK
-    eigensolve per matrix; the result is s_1 - s_2 - s_3 - s_4 clamped to
-    [0, 1].  rho is one 4x4 matrix, giving a float, or a (..., 4, 4) stack,
-    giving an array of the leading shape; a matrix is computed the same way
-    alone or in a stack, and the input is not modified.  Complex input, an
+    Factors rho = W W^T (the pivoted Cholesky factor, checked against rho;
+    see the module docstring) and takes s_1 >= ... >= s_4, the eigenvalue
+    magnitudes of W^T Y W (the square roots of the eigenvalues of
+    rho * (Y rho Y)), from one LAPACK eigensolve per matrix; the result is
+    s_1 - s_2 - s_3 - s_4 clamped to [0, 1].  rho is one 4x4 matrix, giving a
+    float, or a (..., 4, 4) stack, giving an array of the leading shape; a
+    matrix is computed the same way alone or in a stack, and the input is not
+    modified.  Entries that are not real numbers (see errors._real_array), an
     input whose last two axes are not 4x4, a matrix not symmetric within
     1e-12, or one whose trace is not 1 within 1e-6 raises ParameterError, the
-    last naming the first such trace; a non-finite entry, or a matrix taken
-    to eigh with an eigenvalue below -EIG_HARD_TOL, raises NumericsError, the
-    latter naming the lowest eigenvalue.
+    last naming the first such trace; a non-finite entry, or a matrix whose
+    factor misses the check (one not positive semidefinite within what the
+    factor certifies), raises NumericsError, the latter naming the lowest
+    eigenvalue among such matrices.
     """
-    rho = np.asarray(rho)
-    if np.iscomplexobj(rho):
-        raise ParameterError("expected a real symmetric matrix, got complex entries")
-    rho = rho.astype(float, copy=False)
+    rho = _real_array(rho, "rho")
     if rho.ndim < 2 or rho.shape[-2:] != (4, 4):
         raise ParameterError(f"expected a 4x4 matrix or a stack of them, got shape {rho.shape}")
     if not np.all(np.isfinite(rho)):
@@ -172,7 +143,16 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
     off = np.abs(trace - 1.0) > 1e-6
     if np.any(off):
         raise ParameterError(f"matrix trace {float(trace[off][0])!r} is not 1 within 1e-6")
-    w = _factor(rho.reshape(-1, 4, 4))
+    stack = rho.reshape(-1, 4, 4)
+    w, left = _pivoted_factor(stack)
+    # a NaN remainder is a miss too
+    miss = ~(left <= _FACTOR_TOL * np.max(np.diagonal(stack, axis1=-2, axis2=-1), axis=-1))
+    if np.any(miss):
+        lowest = float(np.min(np.linalg.eigvalsh(stack[miss])))
+        raise NumericsError(
+            f"eigenvalue {lowest} leaves rho outside what its pivoted Cholesky factor "
+            "certifies as positive semidefinite; the input was not a valid density matrix"
+        )
     tau = np.swapaxes(w, -1, -2) @ (_FLIP_SIGNS[:, None] * w[:, ::-1])
     s = _sorted_magnitudes(np.linalg.eigvalsh(tau))
     c = np.clip(s[3] - s[2] - s[1] - s[0], 0.0, 1.0)
@@ -180,31 +160,31 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
 
 
 def _unit_interval(x):
-    """x as an array clamped to [0, 1]; ParameterError unless every entry is
-    finite and within 1e-12 of it."""
-    x = np.asarray(x, dtype=float)
+    """x as an array clamped to [0, 1]; ParameterError unless every entry is a
+    real number, finite and within 1e-12 of it."""
+    x = _real_array(x, "concurrence")
     bad = ~((x >= -1e-12) & (x <= 1.0 + 1e-12))
     if np.any(bad):
         raise ParameterError(f"concurrence must lie in [0, 1], got {float(x[bad][0])!r}")
     return np.clip(x, 0.0, 1.0)
 
 
-def _entropy(x):
-    """h(x) for x in [0, 1], an array; 0 log 0 = 0 without taking log 0."""
-    x_log_x = x * np.log(np.where(x > 0.0, x, 1.0))
-    y = 1.0 - x
-    y_log_y = y * np.log(np.where(y > 0.0, y, 1.0))
-    # 0 - s rather than -s, so that h(0) = h(1) = +0.0
-    return 0.0 - (x_log_x + y_log_y) / _LN2
-
-
 def eof_from_concurrence(c: float | np.ndarray) -> float | np.ndarray:
-    """Entanglement of formation h((1 + sqrt(1 - C^2)) / 2), clamped to [0, 1].
+    """Entanglement of formation h(x), x = (1 + sqrt(1 - C^2)) / 2 and h the
+    binary entropy, clamped to [0, 1].
 
-    c is a float, giving a float, or an array, giving an array of its shape.
-    A C within 1e-12 of [0, 1] is clamped into it; any other C, or a
-    non-finite one, raises ParameterError.
+    y = 1 - x is formed as C^2 / (2 (1 + sqrt((1 - C)(1 + C)))) and log x as
+    log1p(-y), so nothing cancels: E_F keeps its relative precision at a
+    small C, where 1 - x would lose the digits of C^2 / 4.  c is a float,
+    giving a float, or an array, giving an array of its shape.  A C within
+    1e-12 of [0, 1] is clamped into it; any other C, a non-finite one, or
+    one that is not a real number (see errors._real_array) raises
+    ParameterError.
     """
     c = _unit_interval(c)
-    value = _entropy(0.5 * (1.0 + np.sqrt(1.0 - c * c)))
+    y = c * c / (2.0 * (1.0 + np.sqrt((1.0 - c) * (1.0 + c))))
+    # 0 log 0 = 0 without taking log 0; 0 - s rather than -s, so that a
+    # separable state gives +0.0
+    y_log_y = y * np.log(np.where(y > 0.0, y, 1.0))
+    value = 0.0 - ((1.0 - y) * np.log1p(-y) + y_log_y) / _LN2
     return _float_or_array(np.clip(value, 0.0, 1.0))

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericsError, ParameterError
+from .errors import NumericsError, ParameterError, _real_array, _real_number
 
 DEFAULT_TAIL_TOL = 1e-12
 TAIL_MARGIN = 10
@@ -68,7 +68,7 @@ def _terms_exhausted(tail_tol) -> NumericsError:
 
 
 def _require_finite(name, value):
-    if not math.isfinite(value):
+    if not math.isfinite(_real_number(value, name)):
         raise ParameterError(f"{name} must be finite, got {value!r}")
 
 
@@ -119,12 +119,12 @@ class PhotonDistribution:
     tail_mass: float
 
     def __post_init__(self):
-        arr = np.array(self.probs, dtype=float)
+        arr = np.array(_real_array(self.probs, "probs"))
         if arr.ndim != 1 or len(arr) == 0:
             raise ParameterError("probs must be a nonempty 1-D vector")
         if not np.all(np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
             raise ParameterError("every probability must lie in [0, 1]")
-        if not (0.0 <= self.tail_mass <= 1.0):
+        if not (0.0 <= _real_number(self.tail_mass, "tail_mass") <= 1.0):
             raise ParameterError(f"tail_mass must lie in [0, 1], got {self.tail_mass!r}")
         total = float(np.sum(arr))
         if abs(total - 1.0) > _NORM_DRIFT_TOL:
@@ -160,7 +160,7 @@ def squeezed_distribution(
     is refused: the entries of rho carry a relative roundoff of about 2^-52
     anyway, so a tighter tail buys nothing.
     """
-    if not (0.0 < tail_tol < 1.0):
+    if not (0.0 < _real_number(tail_tol, "tail_tol") < 1.0):
         raise ParameterError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
     if tail_tol < sys.float_info.epsilon:
         raise NumericsError(

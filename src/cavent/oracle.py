@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dynamics import _check_angles
-from .errors import ParameterError
+from .errors import ParameterError, _real_array
 from .fields import PhotonDistribution
 
 
@@ -80,12 +80,11 @@ def trace_out_field(amps: np.ndarray) -> np.ndarray:
     BLAS build, as the concurrence's already depend on the LAPACK build.  On
     the reference grids (means 0.3, 50 and 400) the entries differ from
     exactly rounded sums (math.fsum) of the same products by at most 8.9e-16.
-    Complex input, or an input of another shape than (..., 2, 2, n), raises
-    ParameterError: the table is real, and v v^T takes no conjugate.
+    Entries that are not real numbers (a complex, bool or string table; see
+    errors._real_array), or an input of another shape than (..., 2, 2, n),
+    raise ParameterError: the table is real, and v v^T takes no conjugate.
     """
-    amps = np.asarray(amps)
-    if np.iscomplexobj(amps):
-        raise ParameterError("expected a real amplitude table, got complex entries")
+    amps = _real_array(amps, "amplitude table")
     if amps.ndim < 3 or amps.shape[-3:-1] != (2, 2):
         raise ParameterError(f"expected a (..., 2, 2, n) amplitude table, got shape {amps.shape}")
     # the photon-axis length is given, not -1, so that an empty grid reshapes

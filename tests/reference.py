@@ -2,7 +2,8 @@
 
 Each reference takes its formula from the textbook or the paper, not from
 `cavent`: the log-space Poissonian, the spectrum of rho * (Y rho Y) by the
-eigenvector route, a local rotation, and the 40-digit concurrence.
+eigenvector route, the negativity of the partial transpose, a local
+rotation, and the 40-digit concurrence and entanglement of formation.
 `exact_rho` is the arithmetic yardstick of the density matrix: the
 four-branch amplitude table in 30-digit arithmetic from the program's own
 photon distribution, so that it measures the error of the rho and C steps
@@ -40,6 +41,20 @@ def eigh_route_spectrum(rho):
     return np.sort(np.abs(np.linalg.eigvalsh(w.T @ SPIN_FLIP @ w)))
 
 
+def negativity(rho):
+    """N = 2 max(0, -lowest eigenvalue of rho^T_B) for a (..., 4, 4) stack: the
+    partial transpose over the second atom swaps its bra and ket indices.
+    It shares no formula with the spin flip: a two-qubit rho is entangled
+    if and only if N > 0 (Peres, PRL 77, 1413 (1996); Horodecki, Horodecki
+    and Horodecki, PLA 223, 1 (1996)), and
+    sqrt((1 - C)^2 + C^2) - (1 - C) <= N <= C (Verstraete, Audenaert,
+    Dehaene and De Moor, J. Phys. A 34, 10327 (2001))."""
+    rho = np.asarray(rho)
+    split = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
+    partial = np.swapaxes(split, -3, -1).reshape(rho.shape)
+    return 2.0 * np.maximum(0.0, -np.linalg.eigvalsh(partial)[..., 0])
+
+
 def rotated(rho, theta1, theta2):
     """Conjugate by a product of real single-qubit rotations (a local unitary)."""
 
@@ -57,17 +72,34 @@ def reference_field(mean, r):
     return squeezed_distribution(SqueezedParams(solve_alpha_for_mean(mean, r), r))
 
 
-def reference_concurrence(rho):
+def exact_concurrence(rho):
     """C = max(0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4)) from the eigenvalues
-    of the non-symmetric product rho * (Y rho Y) in 40-digit arithmetic.  rho
-    is a 4x4 numpy array or mpmath matrix."""
+    of the non-symmetric product rho * (Y rho Y) in 40-digit arithmetic, as an
+    mpmath number.  rho is a 4x4 numpy array or mpmath matrix."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         m = mpmath.matrix(rho.tolist())
         flip = mpmath.matrix(SPIN_FLIP.tolist())
         lam = mpmath.eig(m * flip * m * flip, left=False, right=False)
         rt = sorted((mpmath.sqrt(max(mpmath.re(x), 0)) for x in lam), reverse=True)
-        return float(max(0, rt[0] - rt[1] - rt[2] - rt[3]))
+        return max(0, rt[0] - rt[1] - rt[2] - rt[3])
+
+
+def reference_concurrence(rho):
+    """exact_concurrence rounded to a float."""
+    return float(exact_concurrence(rho))
+
+
+def exact_eof(c):
+    """E_F = h((1 + sqrt(1 - C^2)) / 2), h the binary entropy, in 40-digit
+    arithmetic, as an mpmath number; c is a float or an mpmath number."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        c = mpmath.mpf(c)
+        if c == 0:
+            return c
+        x = (1 + mpmath.sqrt(1 - c**2)) / 2
+        return -x * mpmath.log(x, 2) - (1 - x) * mpmath.log(1 - x, 2)
 
 
 def exact_rho(dist, gt):

@@ -52,6 +52,10 @@ class TestSweepConfig:
             small_cfg(gt_steps=99999999999999999999)
         with pytest.raises(ParameterError):
             small_cfg(gt_end=math.inf)
+        # ends that are not numbers; True would read as 1.0
+        for ends in ({"gt_end": True}, {"gt_end": "10"}, {"gt_start": None}):
+            with pytest.raises(ParameterError):
+                small_cfg(**ends)
         # negative angles are refused by the dynamics layer when the sweep runs
         with pytest.raises(ParameterError):
             run_sweep(small_cfg(gt_start=-1.0))
@@ -294,6 +298,10 @@ class TestMain:
         assert code == 0
         captured = capsys.readouterr()
         assert captured.out.splitlines()[0] == "gt,concurrence,eof"
+        # mean 0, the empty cavity, is a field like any other
+        assert main(["sweep", "--field", "coherent", "--mean", "0", "--steps", "5"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 6 and rows[1] == "0,0,0"
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["sweep", "--field", "squeezed", "--mean", "0.3", "--r", "0.5",

@@ -338,6 +338,11 @@ class TestAssembleRho:
         with pytest.raises(ParameterError, match="upper triangle"):
             assemble_rho(np.zeros(shape))
 
+    @pytest.mark.parametrize("entry", ["1", True, None])
+    def test_refuses_entries_that_are_not_numbers(self, entry):
+        with pytest.raises(ParameterError, match="triangle must be a real number"):
+            assemble_rho([entry] * 10)
+
     def test_zero_angle_state(self):
         dist = squeezed_distribution(SqueezedParams(0.7, 0.0))
         rho = assemble_rho(gamma_coefficients(dist, 0.0))

@@ -15,9 +15,9 @@ from cavent import (
     gamma_coefficients,
     squeezed_distribution,
 )
-from cavent.entanglement import EIG_HARD_TOL, _factor, _pivoted_factor, _sorted_magnitudes
+from cavent.entanglement import _pivoted_factor, _sorted_magnitudes
 from quartic_oracle import quartic_eigenvalues, spin_flipped
-from reference import eigh_route_spectrum, rotated
+from reference import exact_eof, rotated
 
 # -x log2 x - (1-x) log2 (1-x) at x = 0.9, frozen from a direct evaluation
 H_OF_09 = 0.46899559358928117
@@ -26,6 +26,15 @@ EPS = 2.0**-52
 # the concurrence module's documented accuracy of W W^T = rho, in units of
 # eps * max diag(rho), for a positive semidefinite rho
 FACTOR_BOUND = 16
+# the lowest eigenvalue a kept factor certifies (see the concurrence module)
+CERTIFIED = -1.5e-14
+
+
+def refused_eigenvalue(rho):
+    """The eigenvalue `concurrence` names when it refuses rho."""
+    with pytest.raises(NumericsError, match="eigenvalue") as info:
+        concurrence(rho)
+    return float(str(info.value).split()[1])
 
 
 class TestSpinFlipped:
@@ -95,9 +104,10 @@ class TestConcurrence:
                 reference, abs=1e-10
             )
 
-    def test_roundoff_negative_eigenvalue_is_clamped(self):
+    def test_a_negative_eigenvalue_of_5e_9_is_refused(self):
+        # far below the -1.5e-14 that a kept factor certifies
         rho = rotated(np.diag([0.6, 0.4, 5e-9, -5e-9]), 0.3, 0.8)
-        assert 0.0 <= concurrence(rho) <= 1.0
+        assert refused_eigenvalue(rho) == pytest.approx(-5e-9, abs=1e-15)
 
     def test_genuinely_negative_eigenvalue_raises(self):
         rho = rotated(np.diag([0.7, 0.4, 0.0, -0.1]), 0.3, 0.8)
@@ -123,8 +133,14 @@ class TestConcurrence:
     def test_rejects_complex_input(self):
         # (|eg> + i|ge>) / sqrt(2) has C = 1; its real part alone has C = 0
         psi = np.array([0.0, 1.0, 1.0j, 0.0]) / math.sqrt(2.0)
-        with pytest.raises(ParameterError, match="real symmetric"):
+        with pytest.raises(ParameterError, match="rho must be real"):
             concurrence(np.outer(psi, psi.conj()))
+
+    @pytest.mark.parametrize("dtype", [str, bool, object])
+    def test_rejects_entries_that_are_not_numbers(self, bell_state, dtype):
+        # bell_state as strings reads as C = 1 once numpy converts it
+        with pytest.raises(ParameterError, match="rho must be a real number"):
+            concurrence(bell_state.astype(dtype))
 
     def test_range_on_random_states(self, make_random_density):
         rng = np.random.default_rng(11)
@@ -149,14 +165,8 @@ def rank_two_mixture():
     return rho
 
 
-def clamped_concurrence(rho):
-    """C from W = V sqrt(max(D, 0)), the eigenvalues of rho clamped to zero."""
-    s = eigh_route_spectrum(rho)
-    return s[3] - s[2] - s[1] - s[0]
-
-
 def small_pivot_state(d):
-    """Eigenvalues about 0.9, 0.1 and +-3.5e-9, which the gate tolerates.  The
+    """Eigenvalues about 0.9, 0.1 and +-3.5e-9, which the gate refuses.  The
     pivots go 2, 0, 1: the third pivot, about d, meets an off-diagonal -5e-9
     whose column entry b / sqrt(d) puts b^2 / d on the diagonal of W W^T."""
     rho = np.zeros((4, 4))
@@ -204,10 +214,11 @@ class TestPivotedFactor:
         rho = rho / np.trace(rho, axis1=-2, axis2=-1)[:, None, None]
         rho = 0.5 * (rho + np.swapaxes(rho, -1, -2))
         assert np.all(factor_deviation(rho) <= FACTOR_BOUND)
-        # the remainder check keeps every such factor
-        w, left = _pivoted_factor(rho)
+        # the remainder check keeps every such factor, so the stack is accepted
+        _, left = _pivoted_factor(rho)
         assert np.all(left <= FACTOR_BOUND * EPS * rho.diagonal(axis1=-2, axis2=-1).max(axis=-1))
-        assert np.array_equal(_factor(rho), w)
+        values = concurrence(rho)
+        assert np.all((values >= 0.0) & (values <= 1.0))
 
     def test_stops_at_the_first_pivot_at_or_below_the_tolerance(self):
         # tolerance: 4 * 2^-53 * max diag(rho), the default of LAPACK's dpstrf
@@ -272,38 +283,39 @@ class TestPositiveSemidefiniteGate:
         with pytest.raises(ParameterError, match="must be 1 within 1e-6"):
             PhotonDistribution(np.array([0.5, 0.3]), 0.2)
 
-    def test_a_nan_remainder_takes_eigh(self, monkeypatch, make_random_density):
+    def test_a_nan_remainder_is_refused(self, monkeypatch, make_random_density):
         rho = make_random_density(np.random.default_rng(6))
         w = _pivoted_factor(rho[None])[0]
         monkeypatch.setattr(
             "cavent.entanglement._pivoted_factor", lambda stack: (w.copy(), np.full(1, np.nan))
         )
-        values, vectors = np.linalg.eigh(rho)
-        assert np.array_equal(_factor(rho[None])[0], vectors * np.sqrt(np.maximum(values, 0.0)))
+        # the message names the lowest eigenvalue of the matrix that missed
+        assert refused_eigenvalue(rho) == np.linalg.eigvalsh(rho[None])[0, 0]
 
-    def test_accepts_roundoff_alone_and_inside_a_stack(self, make_random_density):
+    def test_refuses_5e_9_alone_and_inside_a_stack(self, make_random_density):
         rho = rotated(np.diag([0.6, 0.4, 5e-9, -5e-9]), 0.3, 0.8)
-        assert 0.0 <= concurrence(rho) <= 1.0
         rng = np.random.default_rng(4)
         stack = np.array([make_random_density(rng) for _ in range(5)] + [rho])
-        assert np.array_equal(concurrence(stack)[-1:], [concurrence(rho)])
+        named = refused_eigenvalue(rho)
+        assert named == pytest.approx(-5e-9, abs=1e-15)
+        assert refused_eigenvalue(stack) == named
 
 
 class TestIndefiniteInput:
     @pytest.mark.parametrize("d", [1e-12, 1e-15, 3e-16])
-    def test_a_small_pivot_does_not_blow_up_the_factor(self, d):
+    def test_a_small_pivot_that_blows_up_the_factor_is_refused(self, d):
         rho = small_pivot_state(d)
-        assert np.linalg.eigvalsh(rho)[0] > -EIG_HARD_TOL
         _, left = _pivoted_factor(rho[None])
         assert left[0] > 1e-6  # the pivoted factor misses rho
-        w = _factor(rho[None])[0]
-        assert np.abs(w @ w.T - rho).max() <= 1e-8
-        assert abs(concurrence(rho) - clamped_concurrence(rho)) <= 1e-8
+        named = refused_eigenvalue(rho)
+        assert named == np.linalg.eigvalsh(rho[None])[0, 0]
+        assert named == pytest.approx(-3.5e-9, rel=0.1)
 
-    def test_random_states_with_a_tolerated_negative_eigenvalue(self):
+    def test_refuses_exactly_what_the_factor_cannot_certify(self):
         rng = np.random.default_rng(12)
         values = rng.dirichlet(np.ones(4), 3000) * rng.choice([1.0, 0.0], (3000, 4), p=[0.6, 0.4])
-        values[:, 0] = -rng.uniform(0.0, 0.9 * EIG_HARD_TOL, 3000)
+        # the negative eigenvalue spans the -1.5e-14 a kept factor certifies
+        values[:, 0] = -(10.0 ** rng.uniform(-18.0, -8.0, 3000))
         values[:, 1:] += rng.choice([0.0, 1e-9, 1e-5], (3000, 3))
         # trace 1: rescale the nonnegative eigenvalues, after giving a unit
         # one to each row that has none
@@ -312,10 +324,18 @@ class TestIndefiniteInput:
         q, _ = np.linalg.qr(rng.standard_normal((3000, 4, 4)))
         rho = (q * values[:, None, :]) @ np.swapaxes(q, -1, -2)
         rho = 0.5 * (rho + np.swapaxes(rho, -1, -2))
-        w = _factor(rho)
-        assert np.abs(w @ np.swapaxes(w, -1, -2) - rho).max() <= 1e-8
-        clamped = np.array([clamped_concurrence(m) for m in rho])
-        assert np.abs(concurrence(rho) - np.clip(clamped, 0.0, 1.0)).max() <= 1e-8
+        lowest = np.linalg.eigvalsh(rho)[:, 0]
+        kept = np.ones(len(rho), dtype=bool)
+        for i, m in enumerate(rho):
+            try:
+                concurrence(m)
+            except NumericsError:
+                kept[i] = False
+        assert not np.any(kept & (lowest < CERTIFIED - 1e-15))
+        assert np.all(lowest[kept] >= CERTIFIED)
+        # both sides of the bound occur, and a stack names its lowest miss
+        assert 0 < np.count_nonzero(kept) < len(rho)
+        assert refused_eigenvalue(rho) == lowest[~kept].min()
 
 
 class TestInputIsNotModified:
@@ -387,10 +407,9 @@ class TestStackedConcurrence:
         with pytest.raises(NumericsError):
             concurrence(stack)
 
-    def test_clamps_roundoff_in_one_entry(self, stack):
+    def test_refuses_5e_9_in_one_entry(self, stack):
         stack[0] = rotated(np.diag([0.6, 0.4, 5e-9, -5e-9]), 0.3, 0.8)
-        values = concurrence(stack)
-        assert np.all((0.0 <= values) & (values <= 1.0))
+        assert refused_eigenvalue(stack) == pytest.approx(-5e-9, abs=1e-15)
 
 
 def bits(x):
@@ -457,6 +476,13 @@ class TestEntanglementOfFormation:
         with pytest.raises(ParameterError, match="concurrence must lie in"):
             eof_from_concurrence(c)
 
+    @pytest.mark.parametrize(
+        "c", ["0.5", True, None, 0.5 + 0j, np.array([0.5, 0.25j]), [0.1, [0.2]]]
+    )
+    def test_rejects_what_is_not_a_real_number(self, c):
+        with pytest.raises(ParameterError, match="concurrence must be (a )?real"):
+            eof_from_concurrence(c)
+
     def test_float_in_float_out(self):
         for c in (0.0, 0.6, 1.0, np.float64(0.6), np.array(0.6)):
             assert type(eof_from_concurrence(c)) is float
@@ -468,25 +494,17 @@ class TestEntanglementOfFormation:
         scalar = np.array([eof_from_concurrence(c) for c in grid.tolist()])
         assert np.abs(values - scalar).max() <= 1e-16
 
-    def test_array_path_matches_a_libm_evaluation(self):
-        def libm_eof(c):
-            x = 0.5 * (1.0 + math.sqrt(1.0 - c * c))
-            if x == 1.0:
-                return 0.0
-            return -(x * math.log(x) + (1.0 - x) * math.log(1.0 - x)) / math.log(2.0)
-
-        grid = np.linspace(0.0, 1.0, 2001)
+    def test_array_path_matches_a_40_digit_evaluation(self):
+        # C from 1e-12, where 1 - x is 2.5e-25, to 1
+        grid = np.concatenate([np.linspace(0.0, 1.0, 2001), np.logspace(-12.0, 0.0, 241)])
         values = eof_from_concurrence(grid)
-        assert np.abs(values - [libm_eof(c) for c in grid.tolist()]).max() <= 4e-16
+        exact = np.array([float(exact_eof(c)) for c in grid.tolist()])
+        assert np.all(np.abs(values - exact) <= 4 * EPS * exact)
 
-    @pytest.mark.parametrize("c", [1e-8, 1e-6, 1e-3, 0.1, 0.6, 0.9, 0.999, 1.0 - 1e-9])
+    @pytest.mark.parametrize("c", [1e-12, 1e-8, 1e-6, 1e-3, 0.1, 0.6, 0.9, 0.999, 1.0 - 1e-9])
     def test_matches_a_40_digit_evaluation(self, c):
-        mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(40):
-            x = (1 + mpmath.sqrt(1 - mpmath.mpf(c) ** 2)) / 2
-            exact = float(-x * mpmath.log(x, 2) - (1 - x) * mpmath.log(1 - x, 2))
-        # 1 - x cancels for a small C, so the bound is absolute
-        assert eof_from_concurrence(c) == pytest.approx(exact, rel=0.0, abs=2e-15)
+        # 1 - x is formed without cancelling, so the bound is relative
+        assert eof_from_concurrence(c) == pytest.approx(float(exact_eof(c)), rel=4 * EPS, abs=0.0)
 
     @pytest.mark.parametrize("c", [float("nan"), float("inf"), -float("inf"), -2e-12, 1.0 + 2e-12])
     def test_array_rejects_out_of_domain(self, c):

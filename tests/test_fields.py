@@ -104,14 +104,13 @@ class TestCoherentDistribution:
         assert np.max(np.abs(dist.probs - ref)) < 1e-13
 
     def test_rejects_bad_alpha(self):
-        with pytest.raises(ParameterError):
-            SqueezedParams(float("nan"), 0.0)
-        with pytest.raises(ParameterError):
-            SqueezedParams(float("inf"), 0.0)
-        with pytest.raises(ParameterError):
-            SqueezedParams(-0.5, 0.0)
+        # a bool, a string or None is not a number, even where numpy would
+        # convert it to one
+        for alpha in (float("nan"), float("inf"), -0.5, True, "1", None, [1.0]):
+            with pytest.raises(ParameterError):
+                SqueezedParams(alpha, 0.0)
 
-    @pytest.mark.parametrize("tail_tol", [0.0, 1.0, -1e-3, 2.0])
+    @pytest.mark.parametrize("tail_tol", [0.0, 1.0, -1e-3, 2.0, "1e-12", None, 1e-12 + 0j])
     def test_rejects_bad_tail_tol(self, tail_tol):
         with pytest.raises(ParameterError):
             squeezed_distribution(SqueezedParams(1.0, 0.0), tail_tol)
@@ -148,6 +147,13 @@ class TestCoherentDistribution:
             PhotonDistribution(np.array([]), 0.0)
         with pytest.raises(ParameterError):
             PhotonDistribution(np.array([1.0]), -1e-3)
+        # entries and tail masses that are not numbers
+        for probs, tail_mass in (
+            (["0.5", "0.5"], 0.0), ([True], 0.0), ([None], 0.0), ([0.5, [0.5]], 0.0),
+            ([1.0], "0"), ([1.0], None),
+        ):
+            with pytest.raises(ParameterError):
+                PhotonDistribution(probs, tail_mass)
 
     # a sum short of 1 is refused whatever tail_mass says: its state's trace
     # would be that sum
@@ -169,6 +175,8 @@ class TestCoherentDistribution:
         from cavent import PhotonDistribution
 
         assert PhotonDistribution(np.array(probs), tail_mass).tail_mass == tail_mass
+        # a list of floats is a vector of real numbers too
+        assert np.array_equal(PhotonDistribution(probs, tail_mass).probs, probs)
 
 
 class TestSqueezedDistribution:
@@ -426,9 +434,15 @@ class TestSolveAlphaForMean:
 
     def test_boundary_target(self):
         assert solve_alpha_for_mean(math.sinh(1.0) ** 2, 1.0) == 0.0
+        # the vacuum: mean 0 is a target, not a refusal
+        assert solve_alpha_for_mean(0.0, 0.0) == 0.0
 
     def test_rejects_negative_inputs(self):
         with pytest.raises(ParameterError):
             solve_alpha_for_mean(-1.0, 0.0)
         with pytest.raises(ParameterError):
             solve_alpha_for_mean(1.0, -0.5)
+        # and inputs that are not numbers
+        for target, r in ((True, 0.0), ("1", 0.0), (None, 0.0), (1.0, "0"), (1.0, False)):
+            with pytest.raises(ParameterError):
+                solve_alpha_for_mean(target, r)

@@ -8,6 +8,9 @@
   or `argpartition` in a process pages in numpy's sort kernels, ~0.3 MB of
   code that every command would pay for in resident memory, while the
   builtin `sorted` and a compare-exchange network give the same bits;
+* the library has one eigen path: the only `numpy.linalg` routine it calls is
+  `eigvalsh`, of the concurrence's tau (and of a refused matrix, to name its
+  lowest eigenvalue);
 * the benchmark's view of the library holds: every `from cavent... import
   name` in `perfbench/` resolves, and `cavent.cli` binds the layer functions
   that the benchmark's tracer wraps there (an unbound one would silently read
@@ -144,6 +147,34 @@ def test_sort_check_sees_each_form(tmp_path):
         "a = np.sort(x)\nx.argsort()\nargpartition(x, 1)\nsorted(x)\n"
     )
     assert sorted(numpy_sorts(module)) == [(3, "sort"), (4, "argsort"), (5, "argpartition")]
+
+
+def linalg_routines(path):
+    """(line, name) of every numpy.linalg routine a module refers to: as
+    `np.linalg.name` or `linalg.name`, or imported from numpy.linalg."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute) and "linalg" in (
+            getattr(node.value, "attr", None), getattr(node.value, "id", None)
+        ):
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            found += [(node.lineno, alias.name) for alias in node.names]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_calls_no_linalg_routine_but_eigvalsh(path):
+    assert {name for _, name in linalg_routines(path)} <= {"eigvalsh"}
+
+
+def test_linalg_check_sees_each_form(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import numpy as np\nfrom numpy import linalg\nfrom numpy.linalg import svd\n"
+        "np.linalg.eigh(a)\nlinalg.qr(a)\nnp.linalg.eigvalsh(a)\n"
+    )
+    assert sorted(linalg_routines(module)) == [(3, "svd"), (4, "eigh"), (5, "qr"), (6, "eigvalsh")]
 
 
 def test_benchmark_imports_found():

@@ -190,6 +190,13 @@ class TestTraceOutField:
         with pytest.raises(ParameterError, match="complex"):
             trace_out_field(amps)
 
+    @pytest.mark.parametrize("dtype", [bool, str, object])
+    def test_rejects_a_table_that_is_not_numbers(self, dtype):
+        # a bool table would give a bool matrix, a string table no matrix
+        amps = np.zeros((2, 2, 3), dtype=dtype)
+        with pytest.raises(ParameterError, match="must be a real number"):
+            trace_out_field(amps)
+
     def test_accepts_an_array_like(self):
         # as concurrence, eof_from_concurrence and gamma_coefficients do
         dist = squeezed_distribution(SqueezedParams(1.5, 0.4))

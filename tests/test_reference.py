@@ -11,8 +11,10 @@ field and whose trig factors are libm's cos and sin, it also measures the
 error of the gamma sums' dot products and of their tangent-derived trig
 factors.  Evaluated on `exact_rho`, the four-branch table of the program's
 own photon distribution in 30-digit arithmetic, it is the yardstick of the
-rho and C steps together: the program's rho and C are each compared with it.
-mpmath is a test-only dependency.
+rho and C steps together: the program's rho and C are each compared with it,
+and so is every C and E_F cell as the CSV prints it.  The negativity of the
+partial transpose brackets the program's C by a route that shares no formula
+with the spin flip.  mpmath is a test-only dependency.
 """
 
 import numpy as np
@@ -21,11 +23,20 @@ import pytest
 from cavent import (
     assemble_rho,
     concurrence,
+    eof_from_concurrence,
     gamma_coefficients,
     trace_out_field,
     tripartite_state,
 )
-from reference import exact_rho, reference_concurrence, reference_field
+from cavent.cli import _fmt
+from reference import (
+    exact_concurrence,
+    exact_eof,
+    exact_rho,
+    negativity,
+    reference_concurrence,
+    reference_field,
+)
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -34,6 +45,14 @@ REFERENCE_TOL = 1e-14
 # photon distribution; the worst readings, both at mean 400, r 1, are
 # 1.36e-14 in rho and 1.10e-14 in C
 YARDSTICK_TOL = 2e-14
+# a printed cell against the 40-digit value, in units of its 12th significant
+# digit; the worst readings are 0.49 for C and 0.55 for E_F (131 for E_F
+# while 1 - x cancelled)
+PRINTED_UNITS = 2.0
+# the negativity bounds hold within this; C and N read above ZERO_BAND at
+# the same points, the smallest such C being 5.1e-4
+BOUND_SLACK = 1e-14
+ZERO_BAND = 1e-9
 
 # (field, mean, r, gt_end, steps): the compare --mean 400 --r 1 --gt-end 50
 # --steps 128 fields, the oracle-check --field squeezed --mean 50 --r 1
@@ -103,3 +122,37 @@ def test_strided_grid_against_the_exact_branch_table(name):
         deviation = max(abs(exact[i, j] - program[i][j]) for i in range(4) for j in range(4))
         assert deviation < YARDSTICK_TOL
         assert abs(c - reference_concurrence(exact)) < YARDSTICK_TOL
+
+
+def last_digit_units(printed, exact):
+    """|printed - exact| in units of the 12th significant digit of exact, a
+    40-digit mpmath number; an exact zero must print as 0."""
+    if exact == 0:
+        return 0.0 if float(printed) == 0.0 else float("inf")
+    with mpmath.workdps(40):
+        unit = mpmath.mpf(10) ** (mpmath.floor(mpmath.log10(abs(exact))) - 11)
+        return float(abs(mpmath.mpf(printed) - exact) / unit)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_printed_cells_of_the_strided_grid(name):
+    dist, grid = _grid(name)
+    strided = grid[1::16]
+    values = concurrence(assemble_rho(gamma_coefficients(dist, strided)))
+    eof = eof_from_concurrence(values)
+    for gt, c, e in zip(strided.tolist(), values.tolist(), eof.tolist()):
+        exact = exact_concurrence(exact_rho(dist, gt))
+        assert last_digit_units(_fmt(c), exact) <= PRINTED_UNITS
+        assert last_digit_units(_fmt(e), exact_eof(exact)) <= PRINTED_UNITS
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_negativity_brackets_the_concurrence(name):
+    dist, grid = _grid(name)
+    rho = assemble_rho(gamma_coefficients(dist, grid[1::16]))
+    c = concurrence(rho)
+    n = negativity(rho)
+    assert np.all(np.sqrt((1.0 - c) ** 2 + c**2) - (1.0 - c) <= n + BOUND_SLACK)
+    assert np.all(n <= c + BOUND_SLACK)
+    # entangled by one criterion exactly where entangled by the other
+    assert np.array_equal(c > ZERO_BAND, n > ZERO_BAND)
