@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import math
 import numbers
 import sys
 from dataclasses import dataclass, replace
@@ -48,10 +47,11 @@ class SweepConfig:
 
     Exactly one of ``alpha`` / ``target_mean`` must be given; ``r`` is only
     meaningful for the squeezed field.  Construction checks what only the
-    configuration knows: the field kind, the amplitude inputs, r with the
-    coherent field, grid ends that are finite, ordered real numbers, and an
-    integer number of steps, at least two and few enough for numpy to size
-    the grid (a bool is not an integer here).
+    configuration knows: the field kind, the amplitude inputs, a finite r and
+    r with the coherent field, grid ends that are finite, ordered real
+    numbers, and an integer number of steps, at least two and few enough for
+    numpy to size the grid (a bool is not an integer here).  r and the grid
+    ends are stored as the floats these checks return.
     Every other value is checked where it is consumed, when the sweep runs:
     alpha and r by `SqueezedParams`, target_mean and r by
     `solve_alpha_for_mean`, tail_tol by the photon distribution, and the
@@ -74,12 +74,13 @@ class SweepConfig:
             )
         if (self.alpha is None) == (self.target_mean is None):
             raise ParameterError("exactly one of alpha / target_mean must be supplied")
+        # finite numbers first: a NaN r would read as nonzero below, and
+        # np.linspace would turn an infinite end into NaN angles
+        for name in ("r", "gt_start", "gt_end"):
+            object.__setattr__(self, name, _real_number(getattr(self, name), name))
         if self.field_kind == "coherent" and self.r != 0.0:
             raise ParameterError("r applies to the squeezed field only")
-        # np.linspace would turn an infinite end into NaN angles
-        start = _real_number(self.gt_start, "gt_start")
-        end = _real_number(self.gt_end, "gt_end")
-        if not (math.isfinite(start) and math.isfinite(end) and start < end):
+        if not self.gt_start < self.gt_end:
             raise ParameterError(
                 f"the grid needs finite gt_start < gt_end, got [{self.gt_start}, {self.gt_end}]"
             )

@@ -57,7 +57,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericsError, ParameterError, _real_array
+from .errors import NumericsError, ParameterError, _in_range, _real_array
 from .fields import PhotonDistribution
 
 BASIS = ("ee", "eg", "ge", "gg")
@@ -89,12 +89,7 @@ def _check_angles(gt, levels) -> np.ndarray:
     gt*sqrt(n_max + 2), over `levels` = n_max + 1 photon numbers, carries an
     absolute rounding error above PHASE_TOL.
     """
-    grid = _real_array(gt, "gt")
-    finite = np.isfinite(grid)
-    if not np.all(finite):
-        raise ParameterError(f"gt must be finite, got {float(grid[~finite].flat[0])!r}")
-    if np.any(grid < 0.0):
-        raise ParameterError(f"gt must be >= 0, got {float(grid[grid < 0.0].flat[0])}")
+    grid = np.asarray(_in_range(gt, "gt", 0.0))
     if grid.ndim > 1:
         raise ParameterError(f"gt must be a scalar or a 1-D array, got shape {grid.shape}")
     phase_error = float(np.max(grid, initial=0.0)) * math.sqrt(levels + 1) * _EPS

@@ -49,7 +49,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericsError, ParameterError, _real_array
+from .errors import _UNIT_SUM_TOL, NumericsError, ParameterError, _in_range, _real_array
 
 _LN2 = math.log(2.0)
 _SYMMETRY_TOL = 1e-12
@@ -140,9 +140,11 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
     if np.any(np.abs(rho - np.swapaxes(rho, -1, -2)) > _SYMMETRY_TOL):
         raise ParameterError("matrix is not symmetric within 1e-12")
     trace = np.trace(rho, axis1=-2, axis2=-1)
-    off = np.abs(trace - 1.0) > 1e-6
+    off = np.abs(trace - 1.0) > _UNIT_SUM_TOL
     if np.any(off):
-        raise ParameterError(f"matrix trace {float(trace[off][0])!r} is not 1 within 1e-6")
+        raise ParameterError(
+            f"matrix trace {float(trace[off][0])!r} is not 1 within {_UNIT_SUM_TOL}"
+        )
     stack = rho.reshape(-1, 4, 4)
     w, left = _pivoted_factor(stack)
     # a NaN remainder is a miss too
@@ -159,16 +161,6 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
     return _float_or_array(c.reshape(rho.shape[:-2]))
 
 
-def _unit_interval(x):
-    """x as an array clamped to [0, 1]; ParameterError unless every entry is a
-    real number, finite and within 1e-12 of it."""
-    x = _real_array(x, "concurrence")
-    bad = ~((x >= -1e-12) & (x <= 1.0 + 1e-12))
-    if np.any(bad):
-        raise ParameterError(f"concurrence must lie in [0, 1], got {float(x[bad][0])!r}")
-    return np.clip(x, 0.0, 1.0)
-
-
 def eof_from_concurrence(c: float | np.ndarray) -> float | np.ndarray:
     """Entanglement of formation h(x), x = (1 + sqrt(1 - C^2)) / 2 and h the
     binary entropy, clamped to [0, 1].
@@ -181,7 +173,7 @@ def eof_from_concurrence(c: float | np.ndarray) -> float | np.ndarray:
     one that is not a real number (see errors._real_array) raises
     ParameterError.
     """
-    c = _unit_interval(c)
+    c = np.clip(_in_range(c, "concurrence", -1e-12, 1.0 + 1e-12), 0.0, 1.0)
     y = c * c / (2.0 * (1.0 + np.sqrt((1.0 - c) * (1.0 + c))))
     # 0 log 0 = 0 without taking log 0; 0 - s rather than -s, so that a
     # separable state gives +0.0

@@ -39,12 +39,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericsError, ParameterError, _real_array, _real_number
+from .errors import _UNIT_SUM_TOL, NumericsError, ParameterError, _in_range, _real_number
 
 DEFAULT_TAIL_TOL = 1e-12
 TAIL_MARGIN = 10
 _MAX_TERMS = 200_000
-_NORM_DRIFT_TOL = 1e-6
+# r's one bound: the largest r whose cosh, the recurrence's mu, is finite in
+# double precision (~710.476)
+_R_MAX = math.acosh(sys.float_info.max)
 _LN2 = math.log(2.0)
 _SEED_EXP = -1000
 _TAIL_FLOOR = 2.0**-30
@@ -67,15 +69,11 @@ def _terms_exhausted(tail_tol) -> NumericsError:
     )
 
 
-def _require_finite(name, value):
-    if not math.isfinite(_real_number(value, name)):
-        raise ParameterError(f"{name} must be finite, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SqueezedParams:
-    """Real amplitude alpha >= 0 and squeezing parameter r >= 0, with cosh r
-    finite in double precision (r below about 710.48).
+    """Real amplitude alpha >= 0 and squeezing parameter 0 <= r <= _R_MAX =
+    acosh(DBL_MAX) ~ 710.476, the largest r whose cosh is finite in double
+    precision; both are stored as floats.
 
     r < 0 (phase squeezing, a super-Poissonian field) stays refused until it is
     checked against an independent reference (ROADMAP item 10); the recurrence
@@ -86,18 +84,8 @@ class SqueezedParams:
     r: float
 
     def __post_init__(self):
-        _require_finite("alpha", self.alpha)
-        _require_finite("r", self.r)
-        if self.alpha < 0.0:
-            raise ParameterError(f"alpha must be >= 0, got {self.alpha}")
-        if self.r < 0.0:
-            raise ParameterError(
-                f"r < 0 is an unsupported regime (got r={self.r}); only r >= 0 is implemented"
-            )
-        try:
-            math.cosh(self.r)
-        except OverflowError:
-            raise ParameterError(f"r={self.r} is too large: cosh(r) overflows a double") from None
+        object.__setattr__(self, "alpha", _real_number(self.alpha, "alpha", 0.0))
+        object.__setattr__(self, "r", _real_number(self.r, "r", 0.0, _R_MAX))
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,16 +107,13 @@ class PhotonDistribution:
     tail_mass: float
 
     def __post_init__(self):
-        arr = np.array(_real_array(self.probs, "probs"))
+        arr = np.array(_in_range(self.probs, "probs", 0.0, 1.0))
         if arr.ndim != 1 or len(arr) == 0:
             raise ParameterError("probs must be a nonempty 1-D vector")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise ParameterError("every probability must lie in [0, 1]")
-        if not (0.0 <= _real_number(self.tail_mass, "tail_mass") <= 1.0):
-            raise ParameterError(f"tail_mass must lie in [0, 1], got {self.tail_mass!r}")
+        object.__setattr__(self, "tail_mass", _real_number(self.tail_mass, "tail_mass", 0.0, 1.0))
         total = float(np.sum(arr))
-        if abs(total - 1.0) > _NORM_DRIFT_TOL:
-            raise ParameterError(f"sum(probs) must be 1 within 1e-6, got {total!r}")
+        if abs(total - 1.0) > _UNIT_SUM_TOL:
+            raise ParameterError(f"sum(probs) must be 1 within {_UNIT_SUM_TOL}, got {total!r}")
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 
@@ -160,7 +145,7 @@ def squeezed_distribution(
     is refused: the entries of rho carry a relative roundoff of about 2^-52
     anyway, so a tighter tail buys nothing.
     """
-    if not (0.0 < _real_number(tail_tol, "tail_tol") < 1.0):
+    if not 0.0 < (tail_tol := _real_number(tail_tol, "tail_tol")) < 1.0:
         raise ParameterError(f"tail_tol must lie in (0, 1), got {tail_tol!r}")
     if tail_tol < sys.float_info.epsilon:
         raise NumericsError(
@@ -213,7 +198,7 @@ def squeezed_distribution(
     n_max = int(np.flatnonzero(arr[: cut + TAIL_MARGIN + 1])[-1])
     arr = arr[: n_max + 1]
     total = _exact_sum(arr)
-    if not 1.0 - tail_tol - _NORM_DRIFT_TOL <= total <= 1.0 + _NORM_DRIFT_TOL:
+    if not 1.0 - tail_tol - _UNIT_SUM_TOL <= total <= 1.0 + _UNIT_SUM_TOL:
         raise NumericsError(
             f"squeezed amplitude recurrence lost normalization: sum(P_n) = {total!r} "
             f"for alpha={params.alpha}, r={params.r}"
@@ -227,12 +212,8 @@ def solve_alpha_for_mean(target_mean: float, r: float) -> float:
     Raises ParameterError if the squeezing alone already exceeds the target
     (target_mean < sinh^2 r).
     """
-    _require_finite("target_mean", target_mean)
-    _require_finite("r", r)
-    if target_mean < 0.0:
-        raise ParameterError(f"target_mean must be >= 0, got {target_mean}")
-    if r < 0.0:
-        raise ParameterError(f"r must be >= 0, got {r}")
+    target_mean = _real_number(target_mean, "target_mean", 0.0)
+    r = _real_number(r, "r", 0.0, _R_MAX)
     try:
         squeeze_mean = math.sinh(r) ** 2
     except OverflowError:  # from r ~ 355.4: more than any finite mean

@@ -42,6 +42,12 @@ class TestSweepConfig:
         with pytest.raises(ParameterError):
             SweepConfig("coherent", alpha=1.0, r=0.5)
 
+    @pytest.mark.parametrize("r", [math.nan, None, "0.5"])
+    def test_names_an_r_that_is_not_a_finite_number(self, r):
+        # not "r applies to the squeezed field only": a NaN r is not nonzero
+        with pytest.raises(ParameterError, match="^r must be (finite|a real number)"):
+            SweepConfig("coherent", alpha=1.0, r=r)
+
     def test_rejects_bad_grid(self):
         with pytest.raises(ParameterError):
             small_cfg(gt_start=5.0, gt_end=1.0)
@@ -411,6 +417,10 @@ class TestMain:
         assert captured.out == ""
         assert captured.err.startswith("cavent: configuration error: ")
         assert captured.err.count("\n") == 1
+
+    def test_a_nan_r_is_named_for_the_coherent_field(self, capsys):
+        assert main(["sweep", "--field", "coherent", "--alpha", "1", "--r", "nan"]) == 1
+        assert capsys.readouterr().err == "cavent: configuration error: r must be finite, got nan\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -229,9 +229,22 @@ class TestSqueezedDistribution:
 
     @pytest.mark.parametrize("r", [711.0, 1e300])
     def test_rejects_squeezing_whose_cosh_overflows(self, r):
-        # cosh overflows a double from r ~ 710.48
-        with pytest.raises(ParameterError, match="cosh"):
+        # cosh overflows a double past _R_MAX ~ 710.476
+        with pytest.raises(ParameterError, match="r must be finite and >= 0.0 and <= 710.47586"):
             SqueezedParams(1.0, r)
+
+    def test_squeezing_bound_is_the_cosh_overflow_edge(self):
+        # r's one bound is where libm's cosh leaves the doubles
+        edge = fields._R_MAX
+        assert SqueezedParams(1.0, edge).r == edge and math.isfinite(math.cosh(edge))
+        past = float(np.nextafter(edge, math.inf))
+        with pytest.raises(OverflowError):
+            math.cosh(past)
+        for r in (past, 711.0):
+            with pytest.raises(ParameterError, match="^r must be finite and >= 0.0 and <= "):
+                SqueezedParams(1.0, r)
+            with pytest.raises(ParameterError, match="^r must be finite and >= 0.0 and <= "):
+                solve_alpha_for_mean(1.0, r)
 
     @pytest.mark.parametrize(
         "alpha,r", [(1e200, 0.0), (1e154, 0.0), (1.0, 710.0), (math.sqrt(199_999.0), 0.0)]
@@ -426,8 +439,9 @@ class TestSolveAlphaForMean:
         assert alpha == pytest.approx(0.168699978044984, abs=1e-12)
         assert alpha * alpha + math.sinh(0.5) ** 2 == pytest.approx(0.3, abs=1e-15)
 
-    # sinh^2(1) ~ 1.381 > 0.1; sinh(r)^2 overflows from r ~ 355.4, sinh(r) from 710.48
-    @pytest.mark.parametrize("target,r", [(0.1, 1.0), (1.0, 356.0), (1.0, 711.0)])
+    # sinh^2(1) ~ 1.381 > 0.1; sinh(r)^2 overflows from r ~ 355.4, sinh(r) past
+    # _R_MAX ~ 710.476, which is refused as out of range
+    @pytest.mark.parametrize("target,r", [(0.1, 1.0), (1.0, 356.0), (1.0, 710.0)])
     def test_infeasible_target(self, target, r):
         with pytest.raises(ParameterError, match="is infeasible"):
             solve_alpha_for_mean(target, r)

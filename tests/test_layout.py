@@ -11,6 +11,10 @@
 * the library has one eigen path: the only `numpy.linalg` routine it calls is
   `eigvalsh`, of the concurrence's tau (and of a refused matrix, to name its
   lowest eigenvalue);
+* the library has one validation layer: no module but `errors` names
+  `isfinite` or the unit-sum tolerance 1e-6, save the concurrence's
+  NumericsError for a non-finite density matrix, which is not an input rule;
+* no module imports a name it never uses;
 * the benchmark's view of the library holds: every `from cavent... import
   name` in `perfbench/` resolves, and `cavent.cli` binds the layer functions
   that the benchmark's tracer wraps there (an unbound one would silently read
@@ -175,6 +179,76 @@ def test_linalg_check_sees_each_form(tmp_path):
         "np.linalg.eigh(a)\nlinalg.qr(a)\nnp.linalg.eigvalsh(a)\n"
     )
     assert sorted(linalg_routines(module)) == [(3, "svd"), (4, "eigh"), (5, "qr"), (6, "eigvalsh")]
+
+
+def range_rules(path):
+    """(line, what) of every place a module decides finiteness or the unit-sum
+    tolerance by itself: a reference to `isfinite`, math's or numpy's (as an
+    attribute, a bare name or an import), or the literal 1e-6."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        name = getattr(node, "attr", None) or getattr(node, "id", None)
+        if isinstance(node, ast.alias):
+            name = node.name
+        if name == "isfinite":
+            found.append((node.lineno, "isfinite"))
+        elif isinstance(node, ast.Constant) and type(node.value) is float and node.value == 1e-6:
+            found.append((node.lineno, "1e-6"))
+    return found
+
+
+# concurrence's NumericsError for a non-finite rho, a numerical guarantee
+# rather than an input range
+RANGE_RULES_KEPT = {"entanglement.py": ["isfinite"]}
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "errors.py"], ids=lambda path: path.name
+)
+def test_decides_no_range_outside_the_validation_layer(path):
+    assert [what for _, what in range_rules(path)] == RANGE_RULES_KEPT.get(path.name, [])
+
+
+def test_range_check_sees_each_form(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import math\nimport numpy as np\nfrom math import isfinite\n"
+        "math.isfinite(x)\nnp.isfinite(a)\nisfinite(x)\ntol = 1e-6\ntol = 1e-5\n"
+    )
+    assert sorted(range_rules(module)) == [
+        (3, "isfinite"), (4, "isfinite"), (5, "isfinite"), (6, "isfinite"), (7, "1e-6")
+    ]
+
+
+def unused_imports(path):
+    """(line, name) of every name a module imports and never reads, counting
+    the names its __all__ lists as read; `from __future__` is not an import."""
+    imported, used = [], set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            imported += [(node.lineno, (a.asname or a.name).split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+            used |= {elt.value for elt in node.value.elts}
+    return [(line, name) for line, name in imported if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_imports_no_unused_name(path):
+    assert not unused_imports(path)
+
+
+def test_unused_import_check_sees_each_form(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "from __future__ import annotations\nimport math\nimport numpy as np\nimport os.path\n"
+        "from typing import NamedTuple, Any as A\nfrom .x import exported, read\n"
+        "__all__ = ['exported']\nnp.zeros(1)\nread()\n"
+    )
+    assert unused_imports(module) == [(2, "math"), (4, "os"), (5, "NamedTuple"), (5, "A")]
 
 
 def test_benchmark_imports_found():
