@@ -5,9 +5,10 @@ Three subcommands, all emitting deterministic output:
 * ``sweep``        - concurrence and entanglement of formation versus the Rabi
                      angle gt for one field configuration, as CSV.
 * ``compare``      - the squeezed-versus-coherent comparison at a fixed mean
-                     photon number: config A is the squeezed field (--mean,
-                     --r), config B the coherent field with the same mean, on
-                     the same gt grid.  CSV plus a peak summary.
+                     photon number: sweep a is the squeezed field (--mean,
+                     --r), sweep b the coherent field with the same mean, on
+                     the same gt grid.  CSV plus the first peak of each eof
+                     column.
 * ``oracle-check`` - re-derives every grid point through the Fock-space
                      oracle and reports the worst deviation of the analytic
                      density matrix and concurrence.
@@ -46,13 +47,14 @@ class SweepConfig:
     """One field configuration plus the gt grid it is swept over.
 
     Exactly one of ``alpha`` / ``target_mean`` must be given; ``r`` is only
-    meaningful for the squeezed field.  Construction checks what only the
-    configuration knows: the field kind, the amplitude inputs, a finite r and
-    r with the coherent field, grid ends that are finite, ordered real
-    numbers, and an integer number of steps, at least two and few enough for
-    numpy to size the grid (a bool is not an integer here).  r and the grid
-    ends are stored as the floats these checks return.
-    Every other value is checked where it is consumed, when the sweep runs:
+    meaningful for the squeezed field.  Construction refuses an alpha,
+    target_mean, r, grid end or tail_tol that is not a finite real number (a
+    bool is not one) and stores the float it stands for, so equal inputs give
+    equal, hashable configurations.  It also checks what only the configuration knows: the
+    field kind, r with the coherent field, ordered grid ends, and an integer
+    number of steps, at least two and few enough for numpy to size the grid
+    (a bool is not an integer here), stored as an int.
+    Range rules are checked where they are consumed, when the sweep runs:
     alpha and r by `SqueezedParams`, target_mean and r by
     `solve_alpha_for_mean`, tail_tol by the photon distribution, and the
     grid angles (gt_start >= 0) by `gamma_coefficients`.
@@ -76,7 +78,8 @@ class SweepConfig:
             raise ParameterError("exactly one of alpha / target_mean must be supplied")
         # finite numbers first: a NaN r would read as nonzero below, and
         # np.linspace would turn an infinite end into NaN angles
-        for name in ("r", "gt_start", "gt_end"):
+        given = "alpha" if self.target_mean is None else "target_mean"
+        for name in ("r", "gt_start", "gt_end", given, "tail_tol"):
             object.__setattr__(self, name, _real_number(getattr(self, name), name))
         if self.field_kind == "coherent" and self.r != 0.0:
             raise ParameterError("r applies to the squeezed field only")
@@ -91,17 +94,15 @@ class SweepConfig:
         # numpy cannot size a float64 array of more bytes than an index counts
         if self.gt_steps > np.iinfo(np.intp).max // 8:
             raise ParameterError(f"gt_steps={self.gt_steps} is too large for a grid array")
-
-    def resolved_alpha(self) -> float:
-        if self.alpha is not None:
-            return self.alpha
-        return solve_alpha_for_mean(self.target_mean, self.r)
+        object.__setattr__(self, "gt_steps", int(self.gt_steps))
 
     def distribution(self):
         """Photon distribution of the field; the coherent field is the squeezed
         field at r = 0."""
-        params = SqueezedParams(self.resolved_alpha(), self.r)
-        return squeezed_distribution(params, self.tail_tol)
+        alpha = self.alpha
+        if alpha is None:
+            alpha = solve_alpha_for_mean(self.target_mean, self.r)
+        return squeezed_distribution(SqueezedParams(alpha, self.r), self.tail_tol)
 
     def gt_grid(self) -> np.ndarray:
         return np.linspace(self.gt_start, self.gt_end, self.gt_steps)
@@ -118,19 +119,6 @@ class SweepResult(NamedTuple):
     gt: np.ndarray
     concurrence: np.ndarray
     eof: np.ndarray
-
-
-@dataclass(frozen=True)
-class CompareResult:
-    """Two sweeps over one shared grid, a the squeezed and b the coherent
-    field of `compare`, with the first maximum of each eof column."""
-
-    a: SweepResult
-    b: SweepResult
-    peak_eof_a: float
-    peak_gt_a: float
-    peak_eof_b: float
-    peak_gt_b: float
 
 
 @dataclass(frozen=True)
@@ -155,20 +143,16 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     return SweepResult(grid, values, eof_from_concurrence(values))
 
 
-def run_compare(cfg_a: SweepConfig, cfg_b: SweepConfig) -> CompareResult:
-    """Sweep two configurations over one shared grid and report each peak E_F."""
-    if (cfg_a.gt_start, cfg_a.gt_end, cfg_a.gt_steps) != (
-        cfg_b.gt_start,
-        cfg_b.gt_end,
-        cfg_b.gt_steps,
-    ):
-        raise ParameterError("compare requires identical gt grids for both configs")
-    a = run_sweep(cfg_a)
-    b = run_sweep(cfg_b)
-    # argmax keeps the first of equal peaks
-    i = int(np.argmax(a.eof))
-    j = int(np.argmax(b.eof))
-    return CompareResult(a, b, float(a.eof[i]), float(a.gt[i]), float(b.eof[j]), float(b.gt[j]))
+def run_compare(cfg: SweepConfig) -> tuple[SweepResult, SweepResult]:
+    """Sweeps a and b of `compare`: cfg, the squeezed field, then the coherent
+    field of the same target_mean (or alpha) over the same grid."""
+    return run_sweep(cfg), run_sweep(replace(cfg, field_kind="coherent", r=0.0))
+
+
+def peak_eof(result: SweepResult) -> tuple[float, float]:
+    """The first maximum of result's eof column, and the gt of its row."""
+    i = int(np.argmax(result.eof))  # argmax keeps the first of equal peaks
+    return float(result.eof[i]), float(result.gt[i])
 
 
 def run_oracle_check(cfg: SweepConfig) -> OracleReport:
@@ -206,15 +190,13 @@ def write_sweep_csv(result: SweepResult, stream):
     _write_rows("gt,concurrence,eof", result, stream)
 
 
-def write_compare_csv(result: CompareResult, stream):
-    a, b = result.a, result.b
+def write_compare_csv(a: SweepResult, b: SweepResult, stream):
     _write_rows(
         "gt,concurrence_a,eof_a,concurrence_b,eof_b",
         (a.gt, a.concurrence, a.eof, b.concurrence, b.eof),
         stream,
     )
-    stream.write(f"# peak_eof_a={_fmt(result.peak_eof_a)}\n")
-    stream.write(f"# peak_eof_b={_fmt(result.peak_eof_b)}\n")
+    stream.write(f"# peak_eof_a={_fmt(peak_eof(a)[0])}\n# peak_eof_b={_fmt(peak_eof(b)[0])}\n")
 
 
 def format_oracle_report(report: OracleReport) -> str:
@@ -277,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compare.add_argument("--mean", type=float, required=True, help="shared mean photon number")
     compare.add_argument("--r", type=float, required=True, help="squeezing of config a")
-    # config a; main derives config b from it
+    # the squeezed configuration; run_compare derives the coherent one from it
     compare.set_defaults(field="squeezed", alpha=None)
     _add_grid_arguments(compare, DEFAULT_STEPS)
 
@@ -312,12 +294,11 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             write_sweep_csv(run_sweep(_config_from_args(args)), buf)
         elif args.command == "compare":
-            cfg_a = _config_from_args(args)
-            result = run_compare(cfg_a, replace(cfg_a, field_kind="coherent", r=0.0))
-            write_compare_csv(result, buf)
-            summary = (
-                f"peak_eof_a={_fmt(result.peak_eof_a)} at gt={_fmt(result.peak_gt_a)}\n"
-                f"peak_eof_b={_fmt(result.peak_eof_b)} at gt={_fmt(result.peak_gt_b)}\n"
+            a, b = run_compare(_config_from_args(args))
+            write_compare_csv(a, b, buf)
+            summary = "".join(
+                f"peak_eof_{name}={_fmt(eof)} at gt={_fmt(gt)}\n"
+                for name, (eof, gt) in (("a", peak_eof(a)), ("b", peak_eof(b)))
             )
         else:  # oracle-check, the last command argparse admits
             report = run_oracle_check(_config_from_args(args))

@@ -1,16 +1,24 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cavent import ParameterError, eof_from_concurrence
+from cavent import (
+    ParameterError,
+    SqueezedParams,
+    eof_from_concurrence,
+    solve_alpha_for_mean,
+    squeezed_distribution,
+)
 from cavent.cli import (
     OracleReport,
     SweepConfig,
     SweepResult,
     format_oracle_report,
     main,
+    peak_eof,
     run_compare,
     run_oracle_check,
     run_sweep,
@@ -75,6 +83,28 @@ class TestSweepConfig:
     def test_accepts_a_numpy_integer_step_count(self):
         cfg = small_cfg(gt_steps=np.int64(9))
         assert run_sweep(cfg).gt.shape == (9,)
+        # stored as an int, so repr and equality carry no numpy type
+        assert type(cfg.gt_steps) is int and cfg == small_cfg(gt_steps=9)
+        assert repr(cfg) == repr(small_cfg(gt_steps=9))
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("alpha", np.array(1.0)), ("target_mean", np.array(1.0)), ("tail_tol", np.array(1e-12))],
+        ids=["alpha", "target_mean", "tail_tol"],
+    )
+    def test_a_0d_array_input_is_stored_as_its_float(self, field, value):
+        amplitude = {} if field in ("alpha", "target_mean") else {"alpha": 1.0}
+        cfg = SweepConfig("coherent", **amplitude, **{field: value})
+        expected = SweepConfig("coherent", **amplitude, **{field: float(value)})
+        assert type(getattr(cfg, field)) is float
+        assert cfg == expected and hash(cfg) == hash(expected)
+
+    @pytest.mark.parametrize("field", ["alpha", "target_mean", "tail_tol"])
+    def test_refuses_a_bool_when_built(self, field):
+        # True would read as 1.0; refused before any sweep runs
+        amplitude = {} if field in ("alpha", "target_mean") else {"alpha": 1.0}
+        with pytest.raises(ParameterError, match=f"^{field} must be a real number"):
+            SweepConfig("coherent", **amplitude, **{field: True})
 
     def test_rejects_bad_tail_tol(self):
         # checked by the field layer when the sweep runs
@@ -92,13 +122,17 @@ class TestSweepConfig:
 
     def test_mean_resolution_matches_requested_mean(self):
         cfg = SweepConfig("squeezed", target_mean=0.3, r=0.5)
-        alpha = cfg.resolved_alpha()
+        alpha = solve_alpha_for_mean(0.3, 0.5)
         assert alpha * alpha + math.sinh(0.5) ** 2 == pytest.approx(0.3, abs=1e-14)
+        # the field of the configuration is the field of that amplitude
+        dist, expected = cfg.distribution(), squeezed_distribution(SqueezedParams(alpha, 0.5))
+        assert np.array_equal(dist.probs, expected.probs)
+        assert dist.tail_mass == expected.tail_mass
 
     def test_infeasible_mean(self):
         cfg = SweepConfig("squeezed", target_mean=0.1, r=1.0)
         with pytest.raises(ParameterError):
-            cfg.resolved_alpha()
+            cfg.distribution()
 
 
 class TestRunSweep:
@@ -136,35 +170,35 @@ class TestRunSweep:
 
 class TestRunCompare:
     def test_config_against_itself(self):
-        cfg = small_cfg(gt_steps=17)
-        result = run_compare(cfg, cfg)
-        assert np.array_equal(result.a.concurrence, result.b.concurrence)
-        assert np.array_equal(result.a.eof, result.b.eof)
-        assert result.peak_eof_a == result.peak_eof_b
-        assert result.peak_gt_a == result.peak_gt_b
+        # a coherent config is its own coherent counterpart
+        a, b = run_compare(small_cfg(gt_steps=17))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert peak_eof(a) == peak_eof(b)
+
+    def test_b_is_the_coherent_sweep_of_the_same_config(self):
+        cfg = SweepConfig("squeezed", target_mean=0.3, r=0.5, gt_steps=33)
+        a, b = run_compare(cfg)
+        assert all(np.array_equal(x, y) for x, y in zip(a, run_sweep(cfg)))
+        expected = run_sweep(replace(cfg, field_kind="coherent", r=0.0))
+        assert all(np.array_equal(x, y) for x, y in zip(b, expected))
 
     def test_peak_is_the_first_maximum(self):
-        cfg = small_cfg(gt_steps=65)
-        result = run_compare(cfg, SweepConfig("coherent", target_mean=1.0, gt_end=10.0, gt_steps=65))
-        for column, peak, peak_gt in [
-            (result.a, result.peak_eof_a, result.peak_gt_a),
-            (result.b, result.peak_eof_b, result.peak_gt_b),
-        ]:
+        for mean in (0.3, 1.0):
+            column = run_sweep(small_cfg(target_mean=mean, gt_steps=65))
+            peak, peak_gt = peak_eof(column)
             first = next(i for i, v in enumerate(column.eof) if v == column.eof.max())
             assert (peak, peak_gt) == (column.eof[first], column.gt[first])
             assert type(peak) is float and type(peak_gt) is float
-
-    def test_grid_mismatch_rejected(self):
-        with pytest.raises(ParameterError):
-            run_compare(small_cfg(gt_steps=17), small_cfg(gt_steps=18))
+        # of equal maxima, the first one's row
+        tied = SweepResult(np.arange(4.0), np.zeros(4), np.array([0.1, 0.5, 0.5, 0.2]))
+        assert peak_eof(tied) == (0.5, 1.0)
 
     def test_fixed_mean_protocol(self):
-        shared = dict(gt_start=0.0, gt_end=10.0, gt_steps=129)
-        result = run_compare(
-            SweepConfig("squeezed", target_mean=0.3, r=0.5, **shared),
-            SweepConfig("coherent", target_mean=0.3, **shared),
+        a, b = run_compare(
+            SweepConfig("squeezed", target_mean=0.3, r=0.5, gt_start=0.0, gt_end=10.0,
+                        gt_steps=129)
         )
-        assert result.peak_eof_a > result.peak_eof_b
+        assert peak_eof(a)[0] > peak_eof(b)[0]
 
     def test_peak_entanglement_regimes(self):
         # low mean: the peak falls as the mean grows; high mean: it rises slightly
@@ -180,15 +214,14 @@ class TestRunCompare:
 
     def test_high_mean_comparison_completes(self):
         # <n> = 50 with r = 1: both row sets must come through without overflow
-        shared = dict(gt_start=0.0, gt_end=50.0, gt_steps=65)
-        result = run_compare(
-            SweepConfig("squeezed", target_mean=50.0, r=1.0, **shared),
-            SweepConfig("coherent", target_mean=50.0, **shared),
+        a, b = run_compare(
+            SweepConfig("squeezed", target_mean=50.0, r=1.0, gt_start=0.0, gt_end=50.0,
+                        gt_steps=65)
         )
-        for column in (result.a.concurrence, result.a.eof, result.b.concurrence, result.b.eof):
+        for column in (a.concurrence, a.eof, b.concurrence, b.eof):
             assert column.shape == (65,)
             assert np.all(np.isfinite(column) & (0.0 <= column) & (column <= 1.0))
-        assert result.peak_eof_a > 0.0 and result.peak_eof_b > 0.0
+        assert peak_eof(a)[0] > 0.0 and peak_eof(b)[0] > 0.0
 
 
 class TestRunOracleCheck:
@@ -268,10 +301,9 @@ class TestCsvFormat:
         assert buf.getvalue() == expected
 
     def test_compare_csv_has_peak_comments(self):
-        cfg = small_cfg(gt_steps=5)
-        result = run_compare(cfg, cfg)
+        a, b = run_compare(small_cfg(gt_steps=5))
         buf = io.StringIO()
-        write_compare_csv(result, buf)
+        write_compare_csv(a, b, buf)
         lines = buf.getvalue().splitlines()
         assert lines[0] == "gt,concurrence_a,eof_a,concurrence_b,eof_b"
         assert lines[-2].startswith("# peak_eof_a=")
@@ -333,6 +365,23 @@ class TestMain:
         assert "peak_eof_a=" in capsys.readouterr().out
         text = out.read_text()
         assert text.startswith("gt,concurrence_a,eof_a,concurrence_b,eof_b\n")
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_compare_prints_the_first_peak_of_each_column(self, to_file, tmp_path, capsys):
+        out = tmp_path / "cmp.csv"
+        argv = ["compare", "--mean", "0.3", "--r", "0.5", "--steps", "65"]
+        assert main(argv + (["--out", str(out)] if to_file else [])) == 0
+        stdout = capsys.readouterr().out
+        csv = out.read_text() if to_file else stdout
+        sweeps = run_compare(SweepConfig("squeezed", target_mean=0.3, r=0.5, gt_steps=65))
+        expected = []
+        for name, column in zip("ab", sweeps):
+            first = next(i for i, v in enumerate(column.eof) if v == column.eof.max())
+            value, gt = format(column.eof[first], ".12g"), format(column.gt[first], ".12g")
+            assert f"# peak_eof_{name}={value}\n" in csv
+            expected.append(f"peak_eof_{name}={value} at gt={gt}\n")
+        # the summary goes to stdout when the CSV goes to --out
+        assert stdout == ("".join(expected) if to_file else csv)
 
     def test_oracle_check_passes(self, capsys):
         code = main(
