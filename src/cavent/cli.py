@@ -15,11 +15,15 @@ Three subcommands, all emitting deterministic output:
 
 Exit codes: 0 success, 1 configuration error, 2 numerical error,
 3 oracle-check failure.
+
+``main(argv)`` may be called repeatedly in one process.  It builds its parser
+once, on the first call, and parses each argv afresh.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import numbers
 import sys
@@ -145,7 +149,15 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
 
 def run_compare(cfg: SweepConfig) -> tuple[SweepResult, SweepResult]:
     """Sweeps a and b of `compare`: cfg, the squeezed field, then the coherent
-    field of the same target_mean (or alpha) over the same grid."""
+    field of the same target_mean over the same grid.
+
+    A cfg given by alpha is refused: at r > 0 the coherent field of the same
+    alpha has a smaller mean.
+    """
+    if cfg.target_mean is None:
+        raise ParameterError(
+            "run_compare needs target_mean, not alpha: it compares fields of one mean"
+        )
     return run_sweep(cfg), run_sweep(replace(cfg, field_kind="coherent", r=0.0))
 
 
@@ -271,6 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call, not at import; parse_args keeps no state between calls
+    return build_parser()
+
+
 def _config_from_args(args) -> SweepConfig:
     return SweepConfig(
         field_kind=args.field,
@@ -285,9 +303,8 @@ def _config_from_args(args) -> SweepConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         # format everything before writing anything: an error leaves stdout and --out untouched
         buf = io.StringIO()
         summary, status = "", 0  # the summary goes to stdout when buf goes to --out

@@ -1,6 +1,11 @@
+import gc
 import io
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,6 +186,12 @@ class TestRunCompare:
         assert all(np.array_equal(x, y) for x, y in zip(a, run_sweep(cfg)))
         expected = run_sweep(replace(cfg, field_kind="coherent", r=0.0))
         assert all(np.array_equal(x, y) for x, y in zip(b, expected))
+
+    @pytest.mark.parametrize("field,r", [("squeezed", 0.5), ("coherent", 0.0)])
+    def test_refuses_a_config_given_by_alpha(self, field, r):
+        # alpha 1 at r 0.5 is a field of mean 1.2715; its coherent namesake has mean 1
+        with pytest.raises(ParameterError, match="target_mean"):
+            run_compare(SweepConfig(field, alpha=1.0, r=r, gt_steps=3))
 
     def test_peak_is_the_first_maximum(self):
         for mean in (0.3, 1.0):
@@ -589,9 +600,6 @@ class TestMain:
         assert exc.value.code == 0
 
     def test_module_entry_point(self):
-        import subprocess
-        import sys
-
         proc = subprocess.run(
             [sys.executable, "-m", "cavent", "sweep", "--field", "coherent",
              "--alpha", "0", "--steps", "3"],
@@ -599,3 +607,67 @@ class TestMain:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("gt,concurrence,eof\n")
+
+
+class TestRepeatedMain:
+    """`main` called back to back in one process, as a library caller or an
+    in-process benchmark does: its one parser must not carry state or leave
+    garbage from one call to the next."""
+
+    @pytest.mark.parametrize(
+        "argv,status",
+        [
+            (["sweep", "--field", "squeezed", "--mean", "0.3", "--r", "0.5", "--steps", "17"], 0),
+            (["compare", "--mean", "0.3", "--r", "0.5", "--steps", "17", "--out", "cmp.csv"], 0),
+            (["oracle-check", "--field", "squeezed", "--mean", "0.3", "--r", "0.5",
+              "--steps", "9"], 0),
+            (["sweep", "--field", "coherent", "--alpha", "1", "--r", "0.5"], 1),
+            (["sweep", "--field", "coherent", "--alpha", "1e200", "--steps", "3"], 2),
+        ],
+        ids=lambda case: " ".join(case) if isinstance(case, list) else None,
+    )
+    def test_a_call_leaves_no_cyclic_garbage(self, argv, status, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep", "--field", "coherent", "--alpha", "1", "--steps", "3"]) == 0
+        gc.disable()
+        try:
+            gc.collect()
+            assert main(argv) == status
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_the_parser_keeps_no_state_between_calls(self, tmp_path, monkeypatch, capsys):
+        compare = ["compare", "--mean", "0.3", "--r", "0.5", "--steps", "17", "--out", "cmp.csv"]
+        sequence = [
+            ["compare", "--mean", "0.3", "--steps", "17"],  # --r missing: exit 1
+            ["--help"],
+            compare,
+            ["sweep", "--field", "squeezed", "--alpha", "0.5", "--r", "0.3", "--gt-end", "5",
+             "--steps", "9", "--tail-tol", "1e-10", "--seed", "3", "--out", "sweep.csv"],
+            ["oracle-check", "--field", "coherent", "--mean", "1", "--steps", "5"],
+            compare,
+        ]
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        monkeypatch.chdir(tmp_path)
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        for argv in sequence:
+            if argv == ["--help"]:
+                # help text wraps to the terminal, so only the exit is compared
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                assert exc.value.code == 0
+                capsys.readouterr()
+                continue
+            status = main(argv)
+            captured = capsys.readouterr()
+            proc = subprocess.run(
+                [sys.executable, "-m", "cavent", *argv],
+                cwd=fresh, env=env, capture_output=True, text=True,
+            )
+            assert (status, captured.out, captured.err) == (
+                proc.returncode, proc.stdout, proc.stderr
+            )
+            if "--out" in argv:
+                assert Path(argv[-1]).read_bytes() == (fresh / argv[-1]).read_bytes()
